@@ -12,6 +12,8 @@ rounds, which is what the rounding-census properties measure:
   binary32/64    IEEE semantics, every op rounds
   rational       exact Fractions, never rounds (the oracle)
 
+The naive and IEEE backends share RoundingBackend's reduction.
+
 Input conversion (from_fraction) is an I/O boundary and deliberately
 does not count as a kernel rounding.  Exception values (posit NaR,
 IEEE NaN/inf, None for the rational backend) propagate through all
@@ -23,15 +25,16 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .posit import PositConfig, arith, decode, encode_round, to_float
-from .quire import QuireConfig, posit_units, product_units
+from .quire import QuireConfig, drain, posit_units, product_units
 
 __all__ = [
     "Backend",
+    "RoundingBackend",
     "QuireBackend",
     "PositNaiveBackend",
     "Binary32Backend",
@@ -182,13 +185,7 @@ class QuireBackend(Backend):
 
     def accum_finish(self, acc):
         self.roundings += 1
-        if acc[1]:
-            return self.cfg.nar_pattern
-        if acc[0] == 0:
-            return 0
-        ls = self.qcfg.lsb_scale
-        x = Fraction(acc[0] << ls) if ls >= 0 else Fraction(acc[0], 1 << -ls)
-        return encode_round(x, self.cfg)
+        return drain(acc[0], acc[1], self.qcfg)
 
     def from_fraction(self, x: Fraction):
         return encode_round(x, self.cfg)
@@ -214,18 +211,20 @@ class QuireBackend(Backend):
         return repr(to_float(v, self.cfg, exact=False))
 
 
-class PositNaiveBackend(QuireBackend):
-    """Same posit scalars, but reductions round after every operation."""
+class RoundingBackend(Backend):
+    """Reductions made of the backend's own rounded scalar ops.
 
-    def __init__(self, cfg: PositConfig) -> None:
-        super().__init__(cfg)
-        self.name = f"posit-naive({cfg.nbits},{cfg.es})"
+    A term's factors multiply left to right and the product is added to
+    the running sum, so every step rounds once; the empty accumulator
+    is None.  The empty reduction finishes as ``zero()`` and a term with
+    no factors counts as ``one()``.
+    """
 
     def accum_new(self):
         return None
 
     def accum_term(self, acc, factors):
-        if len(factors) == 0:
+        if not factors:
             p = self.one()
         else:
             p = factors[0]
@@ -243,13 +242,53 @@ class PositNaiveBackend(QuireBackend):
         return self.add(a, b)
 
     def accum_finish(self, acc):
-        return 0 if acc is None else acc
+        return self.zero() if acc is None else acc
 
 
-class Binary32Backend(Backend):
+class PositNaiveBackend(RoundingBackend, QuireBackend):
+    """Same posit scalars, but reductions round after every operation."""
+
+    def __init__(self, cfg: PositConfig) -> None:
+        super().__init__(cfg)
+        self.name = f"posit-naive({cfg.nbits},{cfg.es})"
+
+
+class _IEEEBackend(RoundingBackend):
+    """Conversions shared by the IEEE formats.
+
+    A subclass names its ``struct`` code and its ``from_float``; input
+    goes exact -> binary64 -> target format.
+    """
+
+    struct_code: str
+    from_float: Callable[[float], object]
+
+    def from_fraction(self, x: Fraction):
+        return self.from_float(float(x))
+
+    def to_fraction(self, v) -> Optional[Fraction]:
+        return None if self.is_exception(v) else Fraction(float(v))
+
+    def is_zero(self, v) -> bool:
+        return float(v) == 0.0
+
+    def is_exception(self, v) -> bool:
+        f = float(v)
+        return math.isnan(f) or math.isinf(f)
+
+    def to_hex(self, v) -> str:
+        return "0x" + struct.pack(self.struct_code, float(v)).hex()
+
+    def format_value(self, v) -> str:
+        return repr(float(v))
+
+
+class Binary32Backend(_IEEEBackend):
     """IEEE single precision via numpy float32 scalars."""
 
     name = "binary32"
+    struct_code = ">f"
+    from_float = staticmethod(np.float32)
 
     def _op(self, f, a, b):
         self.roundings += 1
@@ -271,61 +310,13 @@ class Binary32Backend(Backend):
     def neg(self, a):
         return np.float32(-np.float32(a))
 
-    def accum_new(self):
-        return None
 
-    def accum_term(self, acc, factors):
-        if len(factors) == 0:
-            p = np.float32(1)
-        else:
-            p = np.float32(factors[0])
-            for f in factors[1:]:
-                p = self.mul(p, f)
-        if acc is None:
-            return p
-        return self.add(acc, p)
-
-    def accum_merge(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return self.add(a, b)
-
-    def accum_finish(self, acc):
-        return np.float32(0) if acc is None else acc
-
-    def from_fraction(self, x: Fraction):
-        # documented two-step conversion: exact -> binary64 -> binary32
-        return np.float32(float(x))
-
-    def from_float(self, x: float):
-        return np.float32(x)
-
-    def to_fraction(self, v) -> Optional[Fraction]:
-        f = float(v)
-        if math.isnan(f) or math.isinf(f):
-            return None
-        return Fraction(f)
-
-    def is_zero(self, v) -> bool:
-        return float(v) == 0.0
-
-    def is_exception(self, v) -> bool:
-        f = float(v)
-        return math.isnan(f) or math.isinf(f)
-
-    def to_hex(self, v) -> str:
-        return "0x" + struct.pack(">f", float(v)).hex()
-
-    def format_value(self, v) -> str:
-        return repr(float(v))
-
-
-class Binary64Backend(Backend):
+class Binary64Backend(_IEEEBackend):
     """IEEE double precision via native Python floats."""
 
     name = "binary64"
+    struct_code = ">d"
+    from_float = staticmethod(float)
 
     def _count(self, v: float) -> float:
         self.roundings += 1
@@ -350,53 +341,6 @@ class Binary64Backend(Backend):
 
     def neg(self, a):
         return -a
-
-    def accum_new(self):
-        return None
-
-    def accum_term(self, acc, factors):
-        if len(factors) == 0:
-            p = 1.0
-        else:
-            p = factors[0]
-            for f in factors[1:]:
-                p = self.mul(p, f)
-        if acc is None:
-            return p
-        return self.add(acc, p)
-
-    def accum_merge(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return self.add(a, b)
-
-    def accum_finish(self, acc):
-        return 0.0 if acc is None else acc
-
-    def from_fraction(self, x: Fraction):
-        return float(x)
-
-    def from_float(self, x: float):
-        return float(x)
-
-    def to_fraction(self, v) -> Optional[Fraction]:
-        if math.isnan(v) or math.isinf(v):
-            return None
-        return Fraction(v)
-
-    def is_zero(self, v) -> bool:
-        return v == 0.0
-
-    def is_exception(self, v) -> bool:
-        return math.isnan(v) or math.isinf(v)
-
-    def to_hex(self, v) -> str:
-        return "0x" + struct.pack(">d", float(v)).hex()
-
-    def format_value(self, v) -> str:
-        return repr(float(v))
 
 
 class RationalBackend(Backend):

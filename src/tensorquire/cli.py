@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import ArrayData, ArrayFormatError, Report, load_values, parse_array
+from .arrayio import ArrayFormatError, Report, load_values, parse_array
 from .arrays import DenseArray
 from .backends import BACKEND_NAMES, make_backend
 from .exprs import kernel_expr, normalize, reuse_census
@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _from_flags(make, *flags):
+    """``make(*flags)``, where a rejected flag value is a usage error."""
+    try:
+        return make(*flags)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -54,23 +62,22 @@ def _float_str(x: Fraction) -> str:
         return "inf" if x > 0 else "-inf"
 
 
-def _read_array(path: str) -> ArrayData:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise ArrayFormatError(f"cannot read {path}: {e}") from None
-    return parse_array(text)
 
 
 def _load_vector(path: str, backend, what: str):
-    data = _read_array(path)
+    data = parse_array(_read_text(path))
     if len(data.dims) != 1:
         raise ArrayFormatError(f"{what} must be rank 1, file shape is {data.dims}")
     return load_values(data, backend)
 
 
 def _load_matrix(path: str, backend, what: str) -> DenseArray:
-    data = _read_array(path)
+    data = parse_array(_read_text(path))
     if len(data.dims) != 2:
         raise ArrayFormatError(f"{what} must be rank 2, file shape is {data.dims}")
     return DenseArray(data.dims, load_values(data, backend))
@@ -101,7 +108,7 @@ def _add_schedule_lines(rep: Report, backend_name: str, sched, seed) -> None:
 
 
 def cmd_posit(args) -> Report:
-    cfg = PositConfig(args.n, args.es)
+    cfg = _from_flags(PositConfig, args.n, args.es)
     rep = Report()
     rep.add("command", f"posit {args.action}")
     rep.add("n", args.n)
@@ -136,7 +143,7 @@ def cmd_posit(args) -> Report:
 
 
 def cmd_kernel(args) -> Report:
-    backend = make_backend(args.backend, args.n, args.es)
+    backend = _from_flags(make_backend, args.backend, args.n, args.es)
     rep = Report()
     rep.add("command", f"kernel {args.kind}")
     rep.add("backend", backend.name)
@@ -151,6 +158,8 @@ def cmd_kernel(args) -> Report:
             raise UsageError("kernel cg needs --matrix and --rhs")
         if args.a or args.b:
             raise UsageError("kernel cg takes --matrix/--rhs, not --a/--b")
+        if args.iters < 1:
+            raise UsageError(f"--iters must be >= 1, got {args.iters}")
 
     backend.reset_counter()
 
@@ -229,7 +238,7 @@ def cmd_census(args) -> Report:
             rep.add("method", "formula+enumeration")
             rep.add("formula", "2*(2^23-1)")
         return rep
-    rc = reuse_census(kernel_expr(args.kernel, args.size))
+    rc = reuse_census(_from_flags(kernel_expr, args.kernel, args.size))
     rep.add("kernel", args.kernel)
     rep.add("size", args.size)
     rep.add("uses", rc.uses)
@@ -239,11 +248,8 @@ def cmd_census(args) -> Report:
 
 
 def cmd_plan(args) -> Report:
-    nf = normalize(kernel_expr(args.kernel, args.n))
-    try:
-        text = Path(args.cost_model).read_text()
-    except OSError as e:
-        raise ArrayFormatError(f"cannot read {args.cost_model}: {e}") from None
+    nf = normalize(_from_flags(kernel_expr, args.kernel, args.n))
+    text = _read_text(args.cost_model)
     try:
         cm = parse_cost_model(text)
     except ValueError as e:
@@ -319,10 +325,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    try:
         rep = args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Tensor expressions and their flat-index normal forms.
 
 A kernel is first written as a small expression tree (dot, matrix
-product, outer product, elementwise add, scalar divide, or the
+product, outer product, elementwise product, sum reduction, or the
 conjugate-gradient update).  ``normalize`` lowers the tree to a normal
 form: an assignment to a flat output index, a set of element loops, and
 a body whose only memory accesses are affine functions of loop
@@ -13,8 +13,11 @@ for example::
 
     C[i*2+j] = sum(k<2) A[i*2+k]*B[k*2+j]
 
-Evaluation of normal forms lives in the kernels module; cost prediction
-over them lives in the planner.
+Passes over a normal-form body go through ``children``,
+``map_children`` and ``walk``, the one place that knows the node
+shapes; only the interpreter keeps its own per-node dispatch.
+Evaluation of normal forms lives in the kernels module; cost
+prediction over them lives in the planner.
 """
 
 from __future__ import annotations
@@ -31,14 +34,15 @@ __all__ = [
     "Div",
     "Sum",
     "NormalForm",
+    "children",
+    "map_children",
+    "walk",
     "Leaf",
     "Multiply",
     "SumReduce",
     "Dot",
     "MatMul",
     "OuterProduct",
-    "ElemAdd",
-    "ScalarDivide",
     "CGKernel",
     "dot_expr",
     "matmul_expr",
@@ -176,6 +180,42 @@ def _factor_str(f) -> str:
     return str(f)
 
 
+def children(node) -> tuple:
+    """The direct subexpressions of a normal-form node, in print order."""
+    if isinstance(node, Ref):
+        return ()
+    if isinstance(node, Mul):
+        return node.factors
+    if isinstance(node, Sum):
+        return (node.body,)
+    if isinstance(node, Add):
+        return node.terms
+    if isinstance(node, Div):
+        return (node.num, node.den)
+    raise TypeError(f"not a normal-form node: {type(node).__name__}")
+
+
+def map_children(node, f):
+    """The same node rebuilt with ``f`` applied to each direct child; a
+    Ref, which has none, comes back as is."""
+    if isinstance(node, Sum):
+        return Sum(node.indices, f(node.body))
+    if isinstance(node, Mul):
+        return Mul(tuple(map(f, node.factors)))
+    if isinstance(node, Add):
+        return Add(tuple(map(f, node.terms)))
+    if isinstance(node, Div):
+        return Div(f(node.num), f(node.den))
+    return node
+
+
+def walk(node):
+    """Every node of the tree in preorder, children in print order."""
+    yield node
+    for c in children(node):
+        yield from walk(c)
+
+
 @dataclass(frozen=True)
 class NormalForm:
     """output[out_index] = body, under the given element loops."""
@@ -195,24 +235,10 @@ class NormalForm:
         """Summation levels to a scalar: ceil(log2(extent)) per sum index."""
         return _depth(self.body)
 
-    def operand_extent(self, name: str) -> int:
-        for nm, ext in self.operands:
-            if nm == name:
-                return ext
-        raise KeyError(name)
-
 
 def _depth(node) -> int:
-    if isinstance(node, Sum):
-        own = sum((n - 1).bit_length() for _, n in node.indices)
-        return own + _depth(node.body)
-    if isinstance(node, Mul):
-        return max((_depth(f) for f in node.factors), default=0)
-    if isinstance(node, Add):
-        return max((_depth(t) for t in node.terms), default=0)
-    if isinstance(node, Div):
-        return max(_depth(node.num), _depth(node.den))
-    return 0
+    own = sum((n - 1).bit_length() for _, n in node.indices) if isinstance(node, Sum) else 0
+    return own + max(map(_depth, children(node)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +283,6 @@ class OuterProduct:
 
 
 @dataclass(frozen=True)
-class ElemAdd:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
-class ScalarDivide:
-    a: object
-    b: object
-
-
-@dataclass(frozen=True)
 class CGKernel:
     n: int
 
@@ -293,6 +307,8 @@ def kernel_expr(kind: str, n: int):
     table = {"dot": dot_expr, "matmul": matmul_expr, "outer": outer_expr, "cg": cg_expr}
     if kind not in table:
         raise ValueError(f"unknown kernel {kind!r}")
+    if n < 1:
+        raise ValueError(f"kernel size must be >= 1, got {n}")
     return table[kind](n)
 
 
@@ -306,17 +322,27 @@ def _leaf_vector(e, what: str) -> Tuple[str, int]:
     return e.name, e.dims[0]
 
 
+def _vector_pair(a, b, what: str) -> Tuple[str, str, int]:
+    """Names and common length of two equal-length vector leaves."""
+    xa, n = _leaf_vector(a, f"{what} operand")
+    xb, nb = _leaf_vector(b, f"{what} operand")
+    if n != nb:
+        raise NormalizeError(f"{what} length mismatch: {n} vs {nb}")
+    return xa, xb, n
+
+
+def _dot_form(xa: str, xb: str, n: int) -> NormalForm:
+    j = Affine.var("j")
+    body = Sum((("j", n),), Mul((Ref(xa, j), Ref(xb, j))))
+    return NormalForm("C", 1, Affine.const(0), (), body, ((xa, n), (xb, n)))
+
+
 def normalize(e) -> NormalForm:
     """Lower an expression tree to its flat-index normal form."""
     v = Affine.var
 
     if isinstance(e, Dot):
-        xa, n = _leaf_vector(e.a, "dot operand")
-        xb, nb = _leaf_vector(e.b, "dot operand")
-        if n != nb:
-            raise NormalizeError(f"dot length mismatch: {n} vs {nb}")
-        body = Sum((("j", n),), Mul((Ref(xa, v("j")), Ref(xb, v("j")))))
-        return NormalForm("C", 1, Affine.const(0), (), body, ((xa, n), (xb, n)))
+        return _dot_form(*_vector_pair(e.a, e.b, "dot"))
 
     if isinstance(e, MatMul):
         if not (isinstance(e.a, Leaf) and isinstance(e.b, Leaf)):
@@ -347,22 +373,6 @@ def normalize(e) -> NormalForm:
             "C", n * m, v("i", m) + v("j"), (("i", n), ("j", m)), body, ((xa, n), (xb, m))
         )
 
-    if isinstance(e, ElemAdd):
-        xa, n = _leaf_vector(e.a, "add operand")
-        xb, nb = _leaf_vector(e.b, "add operand")
-        if n != nb:
-            raise NormalizeError(f"add length mismatch: {n} vs {nb}")
-        body = Add((Ref(xa, v("i")), Ref(xb, v("i"))))
-        return NormalForm("C", n, v("i"), (("i", n),), body, ((xa, n), (xb, n)))
-
-    if isinstance(e, ScalarDivide):
-        na = normalize(e.a)
-        nb = normalize(e.b)
-        if na.out_extent != 1 or nb.out_extent != 1 or na.loops or nb.loops:
-            raise NormalizeError("scalar-divide requires scalar children")
-        ops = tuple(sorted(set(na.operands) | set(nb.operands)))
-        return NormalForm("C", 1, Affine.const(0), (), Div(na.body, nb.body), ops)
-
     if isinstance(e, SumReduce):
         # Two supported spellings: full reduction of a vector, and full
         # reduction of an elementwise product (the dot product).
@@ -374,21 +384,13 @@ def normalize(e) -> NormalForm:
             body = Sum((("j", n),), Ref(child.name, v("j")))
             return NormalForm("C", 1, Affine.const(0), (), body, ((child.name, n),))
         if isinstance(child, Multiply) and child.pattern == "elementwise":
-            xa, n = _leaf_vector(child.a, "multiply operand")
-            xb, nb = _leaf_vector(child.b, "multiply operand")
-            if n != nb:
-                raise NormalizeError(f"multiply length mismatch: {n} vs {nb}")
-            body = Sum((("j", n),), Mul((Ref(xa, v("j")), Ref(xb, v("j")))))
-            return NormalForm("C", 1, Affine.const(0), (), body, ((xa, n), (xb, n)))
+            return _dot_form(*_vector_pair(child.a, child.b, "multiply"))
         raise NormalizeError(f"unsupported sum-reduce child {type(child).__name__}")
 
     if isinstance(e, Multiply):
         if e.pattern != "elementwise":
             raise NormalizeError(f"unsupported multiply pattern {e.pattern!r}")
-        xa, n = _leaf_vector(e.a, "multiply operand")
-        xb, nb = _leaf_vector(e.b, "multiply operand")
-        if n != nb:
-            raise NormalizeError(f"multiply length mismatch: {n} vs {nb}")
+        xa, xb, n = _vector_pair(e.a, e.b, "multiply")
         body = Mul((Ref(xa, v("i")), Ref(xb, v("i"))))
         return NormalForm("C", n, v("i"), (("i", n),), body, ((xa, n), (xb, n)))
 
@@ -436,20 +438,11 @@ def _walk_counts(node, trip: int, counts: dict, mults: list) -> None:
     if isinstance(node, Ref):
         counts[node.array] = counts.get(node.array, 0) + trip
     elif isinstance(node, Sum):
-        inner = trip
-        for _, ext in node.indices:
-            inner *= ext
-        _walk_counts(node.body, inner, counts, mults)
+        trip *= math.prod(ext for _, ext in node.indices)
     elif isinstance(node, Mul):
         mults.append(trip * (len(node.factors) - 1))
-        for f in node.factors:
-            _walk_counts(f, trip, counts, mults)
-    elif isinstance(node, Add):
-        for t in node.terms:
-            _walk_counts(t, trip, counts, mults)
-    elif isinstance(node, Div):
-        _walk_counts(node.num, trip, counts, mults)
-        _walk_counts(node.den, trip, counts, mults)
+    for c in children(node):
+        _walk_counts(c, trip, counts, mults)
 
 
 def reuse_census(e, n: Optional[int] = None) -> CensusRecord:
@@ -465,12 +458,9 @@ def reuse_census(e, n: Optional[int] = None) -> CensusRecord:
     if not isinstance(e, (Dot, MatMul, OuterProduct)):
         raise ValueError("census applies to dot, matmul, and outer kernels")
     nf = normalize(e)
-    trip = 1
-    for _, ext in nf.loops:
-        trip *= ext
     counts: dict = {}
     mults: list = []
-    _walk_counts(nf.body, trip, counts, mults)
+    _walk_counts(nf.body, math.prod(ext for _, ext in nf.loops), counts, mults)
     total_reads = sum(counts.values())
     total_elems = sum(ext for _, ext in nf.operands)
     uses, rem = divmod(total_reads, total_elems)
@@ -479,34 +469,25 @@ def reuse_census(e, n: Optional[int] = None) -> CensusRecord:
     return CensusRecord(uses, sum(mults), nf.reduction_depth)
 
 
-def _tile_node(node, var: str, block: int, outer: str, inner: str):
+def _split_loops(loops, var: str, block: int) -> tuple:
+    """``loops`` with ``var`` replaced by its (var+'o', var+'i') pair."""
+    out = []
+    for v, ext in loops:
+        if v != var:
+            out.append((v, ext))
+        elif ext % block:
+            raise ValueError(f"block {block} does not divide extent {ext}")
+        else:
+            out += [(f"{var}o", ext // block), (f"{var}i", block)]
+    return tuple(out)
+
+
+def _tile_node(node, var: str, block: int, repl: Affine):
     if isinstance(node, Ref):
-        repl = Affine.var(outer, block) + Affine.var(inner)
         return Ref(node.array, node.index.substitute(var, repl))
     if isinstance(node, Sum):
-        hit = any(v == var for v, _ in node.indices)
-        if hit:
-            idx = []
-            for v, ext in node.indices:
-                if v == var:
-                    if ext % block:
-                        raise ValueError(f"block {block} does not divide extent {ext}")
-                    idx.append((outer, ext // block))
-                    idx.append((inner, block))
-                else:
-                    idx.append((v, ext))
-            return Sum(tuple(idx), _tile_node(node.body, var, block, outer, inner))
-        return Sum(node.indices, _tile_node(node.body, var, block, outer, inner))
-    if isinstance(node, Mul):
-        return Mul(tuple(_tile_node(f, var, block, outer, inner) for f in node.factors))
-    if isinstance(node, Add):
-        return Add(tuple(_tile_node(t, var, block, outer, inner) for t in node.terms))
-    if isinstance(node, Div):
-        return Div(
-            _tile_node(node.num, var, block, outer, inner),
-            _tile_node(node.den, var, block, outer, inner),
-        )
-    return node
+        node = Sum(_split_loops(node.indices, var, block), node.body)
+    return map_children(node, lambda c: _tile_node(c, var, block, repl))
 
 
 def apply_tiling(nf: NormalForm, tiles: dict) -> NormalForm:
@@ -521,41 +502,18 @@ def apply_tiling(nf: NormalForm, tiles: dict) -> NormalForm:
     out = nf
     for var, block in tiles.items():
         names = [v for v, _ in out.loops]
-        _collect_sum_vars(out.body, names)
+        names += [v for node in walk(out.body) if isinstance(node, Sum) for v, _ in node.indices]
         if names.count(var) > 1:
             raise ValueError(f"variable {var} is not unique; cannot tile")
         if var not in names:
             raise ValueError(f"no loop named {var}")
-        outer, inner = f"{var}o", f"{var}i"
-        loops = []
-        for v, ext in out.loops:
-            if v == var:
-                if ext % block:
-                    raise ValueError(f"block {block} does not divide extent {ext}")
-                loops.append((outer, ext // block))
-                loops.append((inner, block))
-            else:
-                loops.append((v, ext))
-        body = _tile_node(out.body, var, block, outer, inner)
-        out_index = out.out_index.substitute(
-            var, Affine.var(outer, block) + Affine.var(inner)
-        )
+        repl = Affine.var(f"{var}o", block) + Affine.var(f"{var}i")
         out = NormalForm(
-            out.output, out.out_extent, out_index, tuple(loops), body, out.operands
+            out.output,
+            out.out_extent,
+            out.out_index.substitute(var, repl),
+            _split_loops(out.loops, var, block),
+            _tile_node(out.body, var, block, repl),
+            out.operands,
         )
     return out
-
-
-def _collect_sum_vars(node, into: list) -> None:
-    if isinstance(node, Sum):
-        into.extend(v for v, _ in node.indices)
-        _collect_sum_vars(node.body, into)
-    elif isinstance(node, Mul):
-        for f in node.factors:
-            _collect_sum_vars(f, into)
-    elif isinstance(node, Add):
-        for t in node.terms:
-            _collect_sum_vars(t, into)
-    elif isinstance(node, Div):
-        _collect_sum_vars(node.num, into)
-        _collect_sum_vars(node.den, into)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 from .arrays import DenseArray
 from .backends import Backend
-from .exprs import Add, Div, Mul, NormalForm, Ref, Sum, cg_expr, normalize
+from .exprs import Add, Div, Mul, NormalForm, Ref, Sum, cg_expr, children, normalize
 from .schedule import SEQUENTIAL, Schedule, reduce_terms
 
 __all__ = [
@@ -117,17 +117,10 @@ def _free_vars(node, cache: dict) -> frozenset:
         return got
     if isinstance(node, Ref):
         fs = frozenset(node.index.free_vars())
-    elif isinstance(node, Mul):
-        fs = frozenset().union(*(_free_vars(f, cache) for f in node.factors))
-    elif isinstance(node, Add):
-        fs = frozenset().union(*(_free_vars(t, cache) for t in node.terms))
-    elif isinstance(node, Div):
-        fs = _free_vars(node.num, cache) | _free_vars(node.den, cache)
-    elif isinstance(node, Sum):
-        bound = frozenset(v for v, _ in node.indices)
-        fs = _free_vars(node.body, cache) - bound
     else:
-        raise TypeError(f"not a normal-form node: {type(node).__name__}")
+        fs = frozenset().union(*(_free_vars(c, cache) for c in children(node)))
+        if isinstance(node, Sum):
+            fs -= frozenset(v for v, _ in node.indices)
     cache[node] = fs
     return fs
 
@@ -280,6 +273,47 @@ def initial_state(a: DenseArray, b, backend: Backend) -> CGState:
     return CGState(a, DenseArray((n,), [zero] * n), DenseArray((n,), bs), DenseArray((n,), bs))
 
 
+def _check_options(variant: str, form: str) -> None:
+    if variant not in ("paper", "standard"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if form not in ("direct", "normal"):
+        raise ValueError(f"unknown form {form!r}")
+
+
+def _breakdown(k: int) -> BreakdownError:
+    return BreakdownError(f"zero p.A.p denominator at iteration {k}", k)
+
+
+def _alpha(a: DenseArray, p, rr, backend: Backend, schedule: Schedule, k: int):
+    """w = A*p and alpha = (r.r)/(p.w); a zero p.w is breakdown at iteration k."""
+    w = run_matvec(a, p, backend, schedule).data
+    den = run_dot(p, w, backend, schedule)
+    if backend.is_zero(den):
+        raise _breakdown(k)
+    return w, backend.div(rr, den)
+
+
+def _axpy(y, d, alpha, backend: Backend) -> list:
+    """y + d*alpha elementwise; every product and sum rounds."""
+    return [backend.add(yi, backend.mul(di, alpha)) for yi, di in zip(y, d)]
+
+
+def _normal_x(nf: NormalForm, a, x, r, p, backend: Backend, schedule: Schedule, k: int):
+    """The x update by evaluating the CG normal form ``nf``.
+
+    X holds the old x followed by room for the new one.
+    """
+    n = len(x)
+    ext = tuple(x) + (backend.zero(),) * n
+    try:
+        out = evaluate_normal_form(
+            nf, {"X": ext, "P": p, "R": r, "A": a}, backend, schedule, on_zero_div="raise"
+        )
+    except BreakdownError:
+        raise _breakdown(k) from None
+    return out.data[n:]
+
+
 def cg_step(
     state: CGState,
     backend: Backend,
@@ -296,42 +330,15 @@ def cg_step(
     r and p are untouched here; completing the recurrence is
     cg_solve's job.
     """
-    if variant not in ("paper", "standard"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if form not in ("direct", "normal"):
-        raise ValueError(f"unknown form {form!r}")
-    n = state.n
-
+    _check_options(variant, form)
     if form == "normal":
-        nf = normalize(cg_expr(n))
-        ext = tuple(state.x.data) + tuple([backend.zero()] * n)
-        try:
-            out = evaluate_normal_form(
-                nf,
-                {"X": ext, "P": state.p, "R": state.r, "A": state.a},
-                backend,
-                schedule,
-                on_zero_div="raise",
-            )
-        except BreakdownError:
-            raise BreakdownError(
-                f"zero p.A.p denominator at iteration {state.k}", state.k
-            ) from None
-        x1 = DenseArray((n,), out.data[n:])
-        return CGState(state.a, x1, state.r, state.p, state.k + 1)
-
-    rr = run_dot(state.r, state.r, backend, schedule)
-    w = run_matvec(state.a, state.p, backend, schedule)
-    den = run_dot(state.p, w, backend, schedule)
-    if backend.is_zero(den):
-        raise BreakdownError(f"zero p.A.p denominator at iteration {state.k}", state.k)
-    alpha = backend.div(rr, den)
-    direction = w.data if variant == "paper" else state.p.data
-    x1 = [
-        backend.add(xi, backend.mul(di, alpha))
-        for xi, di in zip(state.x.data, direction)
-    ]
-    return CGState(state.a, DenseArray((n,), x1), state.r, state.p, state.k + 1)
+        nf = normalize(cg_expr(state.n))
+        x1 = _normal_x(nf, state.a, state.x.data, state.r, state.p, backend, schedule, state.k)
+    else:
+        rr = run_dot(state.r, state.r, backend, schedule)
+        w, alpha = _alpha(state.a, state.p.data, rr, backend, schedule, state.k)
+        x1 = _axpy(state.x.data, w if variant == "paper" else state.p.data, alpha, backend)
+    return CGState(state.a, DenseArray((state.n,), x1), state.r, state.p, state.k + 1)
 
 
 @dataclass(frozen=True)
@@ -359,45 +366,37 @@ def cg_solve(
     raises with the iteration index.
 
     ``form='normal'`` routes each x update through the flat-index
-    normal form instead of the direct recurrence; the r/p bookkeeping
-    still needs alpha, so the census counts those roundings on top.
-    The normal-form text takes the p direction for both variants, so
-    under the standard variant the two forms produce identical quire
-    bits, while for the paper variant only ``form='direct'`` applies
-    the A*p direction.
+    normal form, normalized once per solve, instead of the direct
+    recurrence; the r/p bookkeeping still needs alpha, so the census
+    counts those roundings on top.  The normal-form text takes the p
+    direction for both variants, so under the standard variant the two
+    forms produce identical quire bits, while for the paper variant
+    only ``form='direct'`` applies the A*p direction.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if variant not in ("paper", "standard"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if form not in ("direct", "normal"):
-        raise ValueError(f"unknown form {form!r}")
+    _check_options(variant, form)
     state = initial_state(a, b, backend)
     n = state.n
     x = list(state.x.data)
     r = list(state.r.data)
     p = list(state.p.data)
+    nf = normalize(cg_expr(n)) if form == "normal" else None
 
     rr = run_dot(r, r, backend, schedule)
     done = 0
     for t in range(iters):
         if backend.is_zero(rr):
             break
-        w = run_matvec(a, p, backend, schedule)
-        den = run_dot(p, w.data, backend, schedule)
-        if backend.is_zero(den):
-            raise BreakdownError(f"zero p.A.p denominator at iteration {t}", t)
-        alpha = backend.div(rr, den)
-        if form == "normal":
-            st = CGState(a, DenseArray((n,), x), DenseArray((n,), r), DenseArray((n,), p), t)
-            x = list(cg_step(st, backend, variant, "normal", schedule).x.data)
+        w, alpha = _alpha(a, p, rr, backend, schedule, t)
+        if nf is not None:
+            x = _normal_x(nf, a, x, r, p, backend, schedule, t)
         else:
-            direction = w.data if variant == "paper" else p
-            x = [backend.add(xi, backend.mul(di, alpha)) for xi, di in zip(x, direction)]
-        r = [backend.sub(ri, backend.mul(wi, alpha)) for ri, wi in zip(r, w.data)]
+            x = _axpy(x, w if variant == "paper" else p, alpha, backend)
+        r = [backend.sub(ri, backend.mul(wi, alpha)) for ri, wi in zip(r, w)]
         rr_new = run_dot(r, r, backend, schedule)
         beta = backend.div(rr_new, rr)
-        p = [backend.add(ri, backend.mul(pi, beta)) for ri, pi in zip(r, p)]
+        p = _axpy(r, p, beta, backend)
         rr = rr_new
         done = t + 1
     return CGOutcome(DenseArray((n,), x), done, backend.is_zero(rr))

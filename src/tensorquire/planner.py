@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exprs import Add, Div, Mul, NormalForm, Ref, Sum
+from .exprs import NormalForm, Ref, Sum, children, walk
 
 __all__ = [
     "CostLevel",
@@ -95,7 +95,12 @@ def parse_cost_model(text: str) -> CostModel:
             continue
         if not line.startswith("level"):
             raise ValueError(f"unrecognized cost-model line: {raw!r}")
-        fields = dict(f.split("=", 1) for f in line.split()[1:])
+        fields = {}
+        for field in line.split()[1:]:
+            key, eq, val = field.partition("=")
+            if not eq:
+                raise ValueError(f"cost-model field {field!r} has no '='")
+            fields[key] = val
         try:
             levels.append(
                 CostLevel(
@@ -132,27 +137,8 @@ def loop_occurrences(nf: NormalForm) -> Tuple[Occurrence, ...]:
     """All loop variables in nesting order.  Ids keep occurrences
     distinct even when a name repeats in sibling scopes, as it does in
     the CG form."""
-    occs: List[Occurrence] = []
-    for var, ext in nf.loops:
-        occs.append((len(occs), var, ext))
-
-    def walk(node) -> None:
-        if isinstance(node, Sum):
-            for var, ext in node.indices:
-                occs.append((len(occs), var, ext))
-            walk(node.body)
-        elif isinstance(node, Mul):
-            for f in node.factors:
-                walk(f)
-        elif isinstance(node, Add):
-            for t in node.terms:
-                walk(t)
-        elif isinstance(node, Div):
-            walk(node.num)
-            walk(node.den)
-
-    walk(nf.body)
-    return tuple(occs)
+    sums = (idx for node in walk(nf.body) if isinstance(node, Sum) for idx in node.indices)
+    return tuple((k, var, ext) for k, (var, ext) in enumerate(itertools.chain(nf.loops, sums)))
 
 
 def ref_paths(nf: NormalForm) -> Tuple[Tuple[Ref, Tuple[Occurrence, ...]], ...]:
@@ -164,27 +150,17 @@ def ref_paths(nf: NormalForm) -> Tuple[Tuple[Ref, Tuple[Occurrence, ...]], ...]:
     """
     out: List[Tuple[Ref, Tuple[Occurrence, ...]]] = []
     counter = itertools.count()
-    base = tuple((next(counter), var, ext) for var, ext in nf.loops)
 
-    def walk(node, path: Tuple[Occurrence, ...]) -> None:
+    def visit(node, path: Tuple[Occurrence, ...]) -> None:
         if isinstance(node, Ref):
             out.append((node, path))
-        elif isinstance(node, Sum):
-            here = path + tuple(
-                (next(counter), var, ext) for var, ext in node.indices
-            )
-            walk(node.body, here)
-        elif isinstance(node, Mul):
-            for f in node.factors:
-                walk(f, path)
-        elif isinstance(node, Add):
-            for t in node.terms:
-                walk(t, path)
-        elif isinstance(node, Div):
-            walk(node.num, path)
-            walk(node.den, path)
+            return
+        if isinstance(node, Sum):
+            path += tuple((next(counter), var, ext) for var, ext in node.indices)
+        for c in children(node):
+            visit(c, path)
 
-    walk(nf.body, base)
+    visit(nf.body, tuple((next(counter), var, ext) for var, ext in nf.loops))
     return tuple(out)
 
 
@@ -202,22 +178,20 @@ def predict_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
     ``tiles`` gives one block size per loop occurrence, in
     loop_occurrences order.
     """
-    occs = loop_occurrences(nf)
-    _validate_tiles(occs, tiles)
-    block = {occ[0]: b for occ, b in zip(occs, tiles)}
+    _validate_tiles(loop_occurrences(nf), tiles)
     esize = cm.element_size
 
     total = 0
     for lv in cm.levels:
         for ref, path in ref_paths(nf):
             addr_vars = set(ref.index.free_vars())
-            used = [(var, ext, block[oid]) for oid, var, ext in path if var in addr_vars]
+            used = [(var, ext, tiles[oid]) for oid, var, ext in path if var in addr_vars]
             silent_instances = 1
             reads_per_instance = 1
             for oid, var, ext in path:
-                reads_per_instance *= block[oid]
+                reads_per_instance *= tiles[oid]
                 if var not in addr_vars:
-                    silent_instances *= ext // block[oid]
+                    silent_instances *= ext // tiles[oid]
             # the line set depends only on the address-moving outer
             # coordinates; loops that hold the address still multiply
             # the instance count and the per-instance read count
@@ -278,13 +252,12 @@ def plan(nf: NormalForm, cm: CostModel) -> LayoutPlan:
     table = search(nf, cm)
     cost, blocks = table[0]
     tiles = tuple((var, ext, b) for (_, var, ext), b in zip(occs, blocks))
-    pos = {oid: k for k, (oid, _, _) in enumerate(occs)}
     lifts = []
     seen = set()
     for ref, path in ref_paths(nf):
         addr_vars = set(ref.index.free_vars())
         for oid, var, ext in path:
-            b = blocks[pos[oid]]
+            b = blocks[oid]
             if var in addr_vars and 1 < b < ext and (ref.array, oid) not in seen:
                 seen.add((ref.array, oid))
                 lifts.append((ref.array, var, b))

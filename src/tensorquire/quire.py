@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .posit import NAR, ZERO, PositConfig, decode, encode_round
 
-__all__ = ["QuireConfig", "Quire", "exact_dot", "product_units", "posit_units"]
+__all__ = ["QuireConfig", "Quire", "exact_dot", "product_units", "posit_units", "drain"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,21 @@ def posit_units(p_bits: int, qcfg: QuireConfig) -> Optional[int]:
     return d.sign * d.significand << (d.scale - qcfg.lsb_scale)
 
 
+def _units_value(acc: int, qcfg: QuireConfig) -> Fraction:
+    """Exact rational value of ``acc`` accumulator units."""
+    ls = qcfg.lsb_scale
+    return Fraction(acc << ls) if ls >= 0 else Fraction(acc, 1 << -ls)
+
+
+def drain(acc: int, nar: bool, qcfg: QuireConfig) -> int:
+    """Round an accumulator to a posit; the quire's single rounding."""
+    if nar:
+        return qcfg.posit.nar_pattern
+    if acc == 0:
+        return 0
+    return encode_round(_units_value(acc, qcfg), qcfg.posit)
+
+
 @dataclass(frozen=True)
 class Quire:
     """Immutable accumulator state; every operation returns a new value.
@@ -139,25 +154,13 @@ class Quire:
 
     def to_posit(self) -> int:
         """Round the accumulated value to a posit; the single rounding."""
-        if self.nar:
-            return self.config.posit.nar_pattern
-        if self.acc == 0:
-            return 0
-        ls = self.config.lsb_scale
-        if ls >= 0:
-            x = Fraction(self.acc << ls)
-        else:
-            x = Fraction(self.acc, 1 << -ls)
-        return encode_round(x, self.config.posit)
+        return drain(self.acc, self.nar, self.config)
 
     @property
     def value(self) -> Fraction:
         if self.nar:
             raise ValueError("NaR quire has no rational value")
-        ls = self.config.lsb_scale
-        if ls >= 0:
-            return Fraction(self.acc << ls)
-        return Fraction(self.acc, 1 << -ls)
+        return _units_value(self.acc, self.config)
 
     def to_hex(self) -> str:
         """Full accumulator as two's-complement hex ('NaR' when flagged)."""

@@ -320,6 +320,31 @@ class TestPlanCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("census", "reuse", "--size", "0"),
+            ("census", "reuse", "--size", "-2"),
+            ("plan", "--kernel", "dot", "--n", "0", "--cost-model", "cm.txt"),
+            ("posit", "decode", "--bits", "0x40000000", "--n", "99"),
+            ("posit", "decode", "--bits", "0x40000000", "--es", "40"),
+            ("kernel", "cg", "--matrix", "eye.arr", "--rhs", "rhs.arr", "--iters", "0"),
+            ("kernel", "dot", "--a", "x.arr", "--b", "x.arr", "--n", "2"),
+        ],
+        ids=["size-0", "size-neg", "plan-n-0", "posit-n-99", "posit-es-40", "iters-0", "kernel-n-2"],
+    )
+    def test_bad_flag_values_are_usage_errors(self, capsys, files, argv):
+        paths = {
+            "cm.txt": files("cm.txt", SMALL_CM),
+            "eye.arr": files("eye.arr", EYE_2),
+            "rhs.arr": files("rhs.arr", RHS_2),
+            "x.arr": files("x.arr", ONES_3),
+        }
+        code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
 

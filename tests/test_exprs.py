@@ -17,13 +17,17 @@ from tensorquire.exprs import (
     Multiply,
     NormalizeError,
     OuterProduct,
+    Sum,
     SumReduce,
     apply_tiling,
     kernel_expr,
+    map_children,
     normalize,
     reuse_census,
+    walk,
 )
 from tensorquire.kernels import evaluate_normal_form
+from tensorquire.planner import loop_occurrences
 
 
 class TestGoldenTexts:
@@ -188,6 +192,25 @@ class TestTiling:
             apply_tiling(nf, {"k": 3})
         with pytest.raises(ValueError):
             apply_tiling(nf, {"z": 2})
+
+
+class TestWalker:
+    def test_walk_order_and_identity_map_on_every_kernel(self):
+        forms = []
+        for kind in ("dot", "matmul", "outer", "cg"):
+            nf = normalize(kernel_expr(kind, 4))
+            forms.append(nf)
+            if kind != "cg":  # cg reuses the name j, so it cannot be tiled
+                forms.append(apply_tiling(nf, {var: 2 for _, var, _ in loop_occurrences(nf)}))
+        for nf in forms:
+            for node in walk(nf.body):
+                assert map_children(node, lambda c: c) == node
+            sums = [idx for node in walk(nf.body) if isinstance(node, Sum) for idx in node.indices]
+            reductions = loop_occurrences(nf)[len(nf.loops) :]
+            assert sums == [(var, ext) for _, var, ext in reductions], str(nf)
+        # the cg form comes last: its numerator's j, then the denominator's i and j
+        cg_vars = [v for node in walk(forms[-1].body) if isinstance(node, Sum) for v, _ in node.indices]
+        assert cg_vars == ["j", "i", "j"]
 
 
 class TestAffine:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import random_spd_system
+from tensorquire import kernels
 from tensorquire.arrays import DenseArray
 from tensorquire.backends import make_backend
 from tensorquire.exprs import apply_tiling, kernel_expr, normalize
@@ -291,6 +292,20 @@ class TestCGSolve:
         viaform = cg_solve(a, _vec(backend, b), 4, backend, form="normal")
         assert direct.x.data == viaform.x.data
         assert direct.iterations == viaform.iterations
+
+    def test_form_normal_normalizes_once_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return normalize(e)
+
+        monkeypatch.setattr(kernels, "normalize", counted)
+        backend = make_backend("quire")
+        a_rows, b = random_spd_system(random.Random(12), 6)
+        out = cg_solve(_mat(backend, a_rows), _vec(backend, b), 6, backend, form="normal")
+        assert out.iterations > 1
+        assert len(calls) == 1
 
     def test_paper_variant_differs_but_both_run(self):
         backend = make_backend("binary64")

@@ -73,11 +73,14 @@ class TestCostModelTypes:
             "element=4\nlevel capacity=16 stride=8 miss=1\n",
             "element=4\nlevel capacity=16 line=8\n",
             "element=x\nlevel capacity=16 line=8 miss=1\n",
+            "element=4\nlevel foo\n",
         ],
     )
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             parse_cost_model(bad)
+        if "foo" in bad:  # a field without '=' is named
+            assert "'foo'" in str(err.value)
 
 
 class TestPredictCost:

@@ -78,15 +78,31 @@ def test_reduce_terms_quire_bits_schedule_free():
         assert reduce_terms(backend, terms, s) == base
 
 
-def test_reduce_terms_empty():
-    backend = make_backend("rational")
-    assert reduce_terms(backend, [], SEQUENTIAL) == 0
+# roundings of one reduction: the quire rounds once at its drain, even
+# when empty; every other rounding backend rounds each step
+EMPTY_ROUNDINGS = {"quire": 1, "naive": 0, "binary32": 0, "binary64": 0, "rational": 0}
+# (2*3)*5: the quire rounds 2*3, fuses *5 and drains; the others round
+# both products
+MULTI_FACTOR_ROUNDINGS = {"quire": 2, "naive": 2, "binary32": 2, "binary64": 2, "rational": 0}
 
 
-def test_reduce_terms_multi_factor():
-    backend = make_backend("rational")
-    terms = [(Fraction(2), Fraction(3), Fraction(5))]
-    assert reduce_terms(backend, terms, SEQUENTIAL) == 30
+@pytest.mark.parametrize("name", sorted(EMPTY_ROUNDINGS))
+def test_reduce_terms_empty(name):
+    backend = make_backend(name)
+    got = reduce_terms(backend, [], SEQUENTIAL)
+    assert got == 0
+    zero = backend.zero()
+    assert type(got) is type(zero)
+    assert backend.to_hex(got) == backend.to_hex(zero)
+    assert backend.roundings == EMPTY_ROUNDINGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_FACTOR_ROUNDINGS))
+def test_reduce_terms_multi_factor(name):
+    backend = make_backend(name)
+    terms = [tuple(backend.from_fraction(Fraction(v)) for v in (2, 3, 5))]
+    assert backend.to_fraction(reduce_terms(backend, terms, SEQUENTIAL)) == 30
+    assert backend.roundings == MULTI_FACTOR_ROUNDINGS[name]
 
 
 def test_worker_split_covers_short_tail():
