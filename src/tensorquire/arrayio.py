@@ -106,7 +106,6 @@ def exception_value(backend):
 
 
 def _binary_token(fmt: str, tok: str) -> float:
-    width = _HEX_WIDTH[fmt]
     pattern = int(tok, 16)
     if fmt == "binary32":
         return float(struct.unpack(">f", pattern.to_bytes(4, "big"))[0])

@@ -11,21 +11,11 @@ touching results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
-__all__ = [
-    "DenseArray",
-    "flat_index",
-    "subarray",
-    "split_axis",
-    "merge_axes",
-    "element_count",
-    "iter_indices",
-    "from_column_major",
-]
+__all__ = ["DenseArray", "flat_index", "element_count"]
 
 Dims = Tuple[int, ...]
-Index = Tuple[int, ...]
 
 
 def element_count(dims: Sequence[int]) -> int:
@@ -53,17 +43,6 @@ def flat_index(idx: Sequence[int], dims: Sequence[int]) -> int:
             raise IndexError(f"index {tuple(idx)} out of bounds for shape {tuple(dims)}")
         off = off * d + i
     return off
-
-
-def iter_indices(dims: Sequence[int]) -> Iterator[Index]:
-    """All valid multi-indices of a shape in row-major (flat) order."""
-    if not dims:
-        yield ()
-        return
-    head, rest = dims[0], dims[1:]
-    for i in range(head):
-        for tail in iter_indices(rest):
-            yield (i,) + tail
 
 
 @dataclass(frozen=True)
@@ -95,56 +74,3 @@ class DenseArray:
 
     def at(self, *idx: int):
         return self.data[flat_index(idx, self.dims)]
-
-
-def subarray(prefix: Sequence[int], a: DenseArray) -> DenseArray:
-    """Select the subarray at a leading partial index.
-
-    The result has the trailing dims as its shape and is a contiguous
-    flat slice, which is the point of row-major prefix indexing.
-    """
-    prefix = tuple(prefix)
-    if len(prefix) > a.rank:
-        raise ValueError(f"prefix rank {len(prefix)} exceeds array rank {a.rank}")
-    lead = a.dims[: len(prefix)]
-    trail = a.dims[len(prefix) :]
-    count = element_count(trail)
-    start = flat_index(prefix, lead) * count if prefix else 0
-    return DenseArray(trail, a.data[start : start + count])
-
-
-def split_axis(a: DenseArray, axis: int, block: int) -> DenseArray:
-    """Replace dims[axis] with the pair (dims[axis]//block, block).
-
-    In row-major order this is a pure reinterpretation for every axis,
-    not just the last: the two new axes are adjacent, so flat offsets
-    are unchanged.  This is the blocking/tiling step expressed as a
-    shape change.
-    """
-    if not 0 <= axis < a.rank:
-        raise ValueError(f"axis {axis} out of range for rank {a.rank}")
-    d = a.dims[axis]
-    if block <= 0 or d % block:
-        raise ValueError(f"block {block} does not divide extent {d}")
-    dims = a.dims[:axis] + (d // block, block) + a.dims[axis + 1 :]
-    return DenseArray(dims, a.data)
-
-
-def merge_axes(a: DenseArray, axis: int) -> DenseArray:
-    """Fuse dims[axis] and dims[axis+1]; the inverse of split_axis."""
-    if not 0 <= axis < a.rank - 1:
-        raise ValueError(f"need two adjacent axes at {axis}, rank is {a.rank}")
-    dims = a.dims[:axis] + (a.dims[axis] * a.dims[axis + 1],) + a.dims[axis + 2 :]
-    return DenseArray(dims, a.data)
-
-
-def from_column_major(values: Sequence, dims: Sequence[int]) -> DenseArray:
-    """Reorder column-major input into the row-major convention."""
-    dims = _check_dims(dims)
-    if len(values) != element_count(dims):
-        raise ValueError("value count does not match shape")
-    out = [None] * len(values)
-    rev = tuple(reversed(dims))
-    for pos, idx in enumerate(iter_indices(rev)):
-        out[flat_index(tuple(reversed(idx)), dims)] = values[pos]
-    return DenseArray(dims, out)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .posit import PositConfig, arith, decode, encode_round, to_float
-from .quire import QuireConfig, drain, posit_units, product_units
+from .quire import QuireConfig, add_units, drain, product_units
 
 __all__ = [
     "Backend",
@@ -122,6 +122,7 @@ class QuireBackend(Backend):
         super().__init__()
         self.cfg = cfg
         self.qcfg = QuireConfig(cfg, carry_bits)
+        self._one = 1 << (cfg.nbits - 2)
         self.name = f"posit-quire({cfg.nbits},{cfg.es})"
 
     def mul(self, a, b):
@@ -147,45 +148,28 @@ class QuireBackend(Backend):
         return (-a) & self.cfg.mask
 
     def accum_new(self):
-        return [0, False]
+        return 0
 
     def accum_term(self, acc, factors):
-        if acc[1]:
-            return acc
-        k = len(factors)
-        if k == 2:
-            units = product_units(factors[0], factors[1], self.qcfg)
-        elif k == 1:
-            units = posit_units(factors[0], self.qcfg)
-        elif k == 0:
-            units = posit_units(self.one(), self.qcfg)
+        if acc is None:
+            return None
+        if len(factors) < 2:
+            # a lone posit p is p*1, the empty term 1*1
+            head, last = self._one, (factors[0] if factors else self._one)
         else:
             # fold the extra factors with rounded multiplies, keep the
             # last pair fused
-            head = factors[0]
+            head, last = factors[0], factors[-1]
             for f in factors[1:-1]:
                 head = self.mul(head, f)
-            units = product_units(head, factors[-1], self.qcfg)
-        if units is None:
-            acc[1] = True
-            return acc
-        acc[0] += units
-        if not self.qcfg.min_int <= acc[0] <= self.qcfg.max_int:
-            acc[0] = 0
-            acc[1] = True
-        return acc
+        return add_units(acc, product_units(head, last, self.qcfg))
 
     def accum_merge(self, a, b):
-        if a[1] or b[1]:
-            return [0, True]
-        s = a[0] + b[0]
-        if not self.qcfg.min_int <= s <= self.qcfg.max_int:
-            return [0, True]
-        return [s, False]
+        return add_units(a, b)
 
     def accum_finish(self, acc):
         self.roundings += 1
-        return drain(acc[0], acc[1], self.qcfg)
+        return drain(acc, self.qcfg)
 
     def from_fraction(self, x: Fraction):
         return encode_round(x, self.cfg)

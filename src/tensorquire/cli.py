@@ -254,7 +254,7 @@ def cmd_plan(args) -> Report:
         cm = parse_cost_model(text)
     except ValueError as e:
         raise ArrayFormatError(f"bad cost model: {e}") from None
-    result = plan(nf, cm)
+    result = _from_flags(plan, nf, cm)
     rep = Report()
     rep.add("command", "plan")
     rep.add("kernel", args.kernel)

@@ -181,9 +181,10 @@ def predict_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
     _validate_tiles(loop_occurrences(nf), tiles)
     esize = cm.element_size
 
+    refs = ref_paths(nf)
     total = 0
     for lv in cm.levels:
-        for ref, path in ref_paths(nf):
+        for ref, path in refs:
             addr_vars = set(ref.index.free_vars())
             used = [(var, ext, tiles[oid]) for oid, var, ext in path if var in addr_vars]
             silent_instances = 1

@@ -44,6 +44,7 @@ __all__ = [
     "to_signed",
     "format_bits",
     "parse_bits",
+    "scaled_fraction",
     "InexactConversion",
 ]
 
@@ -109,6 +110,11 @@ POSIT32 = PositConfig(32)
 POSIT64 = PositConfig(64)
 
 
+def scaled_fraction(v: int, scale: int) -> Fraction:
+    """Exact value of ``v * 2**scale``."""
+    return Fraction(v << scale) if scale >= 0 else Fraction(v, 1 << -scale)
+
+
 class DecodedReal(NamedTuple):
     """Exact value of a pattern: ``sign * significand * 2**scale``.
 
@@ -128,9 +134,7 @@ class DecodedReal(NamedTuple):
             if self.kind == ZERO:
                 return Fraction(0)
             raise ValueError("NaR has no rational value")
-        if self.scale >= 0:
-            return Fraction(self.sign * self.significand << self.scale)
-        return Fraction(self.sign * self.significand, 1 << -self.scale)
+        return scaled_fraction(self.sign * self.significand, self.scale)
 
 
 _DECODED_ZERO = DecodedReal(ZERO)
@@ -277,9 +281,7 @@ def _exact_add(a: DecodedReal, b: DecodedReal, negate_b: bool) -> Union[Fraction
     v = va + vb
     if v == 0:
         return _DECODED_ZERO
-    if scale >= 0:
-        return Fraction(v << scale)
-    return Fraction(v, 1 << -scale)
+    return scaled_fraction(v, scale)
 
 
 def arith(op: str, a: int, b: int, cfg: PositConfig) -> int:

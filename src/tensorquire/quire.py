@@ -9,7 +9,10 @@ once, when the accumulated value is converted back to a posit.
 Because accumulation is exact integer addition, it is associative and
 commutative in the bit-pattern sense: partial quires built by different
 workers over different splits merge to the same accumulator, which is
-what makes parallel reductions bitwise reproducible.
+what makes parallel reductions bitwise reproducible.  The carry bound
+is judged only where the sum is read (the drain, ``value``, ``to_hex``),
+so saturation to NaR depends on the final exact sum alone, never on the
+grouping of partial sums.
 
 Width budget: the value field spans minpos^2 .. maxpos^2, which is
 4*(nbits-2)*2^es + 1 bits, plus carry headroom so that over two billion
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .posit import NAR, ZERO, PositConfig, decode, encode_round
+from .posit import NAR, ZERO, PositConfig, decode, encode_round, scaled_fraction
 
-__all__ = ["QuireConfig", "Quire", "exact_dot", "product_units", "posit_units", "drain"]
+__all__ = ["QuireConfig", "Quire", "exact_dot", "product_units", "add_units", "drain"]
 
 
 @dataclass(frozen=True)
@@ -79,88 +82,74 @@ def product_units(a_bits: int, b_bits: int, qcfg: QuireConfig) -> Optional[int]:
     return (da.sign * db.sign) * (da.significand * db.significand) << shift
 
 
-def posit_units(p_bits: int, qcfg: QuireConfig) -> Optional[int]:
-    """Exact value of a single posit in accumulator units, None for NaR."""
-    d = decode(p_bits, qcfg.posit)
-    if d.kind == NAR:
-        return None
-    if d.kind == ZERO:
-        return 0
-    return d.sign * d.significand << (d.scale - qcfg.lsb_scale)
+def add_units(acc: Optional[int], units: Optional[int]) -> Optional[int]:
+    """Exact sum of two accumulator states; None (a NaR operand) absorbs.
+
+    There is no range check here: the carry bound is judged once, on
+    the final sum, so every grouping of the same terms agrees.
+    """
+    return None if acc is None or units is None else acc + units
 
 
-def _units_value(acc: int, qcfg: QuireConfig) -> Fraction:
-    """Exact rational value of ``acc`` accumulator units."""
-    ls = qcfg.lsb_scale
-    return Fraction(acc << ls) if ls >= 0 else Fraction(acc, 1 << -ls)
+def _is_nar(acc: Optional[int], qcfg: QuireConfig) -> bool:
+    """A NaR operand was seen, or the exact sum exceeds the carry room."""
+    return acc is None or not qcfg.min_int <= acc <= qcfg.max_int
 
 
-def drain(acc: int, nar: bool, qcfg: QuireConfig) -> int:
+def drain(acc: Optional[int], qcfg: QuireConfig) -> int:
     """Round an accumulator to a posit; the quire's single rounding."""
-    if nar:
+    if _is_nar(acc, qcfg):
         return qcfg.posit.nar_pattern
     if acc == 0:
         return 0
-    return encode_round(_units_value(acc, qcfg), qcfg.posit)
+    return encode_round(scaled_fraction(acc, qcfg.lsb_scale), qcfg.posit)
 
 
 @dataclass(frozen=True)
 class Quire:
     """Immutable accumulator state; every operation returns a new value.
 
-    ``acc`` counts multiples of 2**lsb_scale.  The ``nar`` flag is
-    sticky: it is set by a NaR operand or by exceeding the carry
-    capacity, and survives all later operations.
+    ``acc`` counts multiples of 2**lsb_scale exactly, or is None once a
+    NaR operand has entered (sticky).  ``nar`` also holds when the
+    exact sum is beyond the carry capacity; that depends only on the
+    sum, never on the order of the terms.
     """
 
     config: QuireConfig
-    acc: int = 0
-    nar: bool = False
+    acc: Optional[int] = 0
 
     @classmethod
     def zero(cls, cfg: QuireConfig) -> "Quire":
         return cls(cfg)
 
-    def _with_acc(self, acc: int) -> "Quire":
-        if not self.config.min_int <= acc <= self.config.max_int:
-            return Quire(self.config, 0, True)
-        return Quire(self.config, acc, self.nar)
+    @property
+    def nar(self) -> bool:
+        return _is_nar(self.acc, self.config)
 
     def fma(self, a_bits: int, b_bits: int) -> "Quire":
         """Add the exact product a*b; no rounding."""
-        if self.nar:
-            return self
-        units = product_units(a_bits, b_bits, self.config)
-        if units is None:
-            return Quire(self.config, 0, True)
-        return self._with_acc(self.acc + units)
+        return Quire(self.config, add_units(self.acc, product_units(a_bits, b_bits, self.config)))
 
     def add(self, p_bits: int) -> "Quire":
-        """Add the exact value of a single posit; no rounding."""
-        if self.nar:
-            return self
-        units = posit_units(p_bits, self.config)
-        if units is None:
-            return Quire(self.config, 0, True)
-        return self._with_acc(self.acc + units)
+        """Add the exact value of a single posit (p*1); no rounding."""
+        one = 1 << (self.config.posit.nbits - 2)
+        return self.fma(p_bits, one)
 
     def merge(self, other: "Quire") -> "Quire":
         """Exact addition of two accumulators (the parallel-join step)."""
         if self.config != other.config:
             raise ValueError("cannot merge quires with different configs")
-        if self.nar or other.nar:
-            return Quire(self.config, 0, True)
-        return self._with_acc(self.acc + other.acc)
+        return Quire(self.config, add_units(self.acc, other.acc))
 
     def to_posit(self) -> int:
         """Round the accumulated value to a posit; the single rounding."""
-        return drain(self.acc, self.nar, self.config)
+        return drain(self.acc, self.config)
 
     @property
     def value(self) -> Fraction:
         if self.nar:
             raise ValueError("NaR quire has no rational value")
-        return _units_value(self.acc, self.config)
+        return scaled_fraction(self.acc, self.config.lsb_scale)
 
     def to_hex(self) -> str:
         """Full accumulator as two's-complement hex ('NaR' when flagged)."""
@@ -173,7 +162,7 @@ class Quire:
     def from_hex(cls, text: str, cfg: QuireConfig) -> "Quire":
         t = text.strip()
         if t == "NaR":
-            return cls(cfg, 0, True)
+            return cls(cfg, None)
         if not t.lower().startswith("0x"):
             raise ValueError(f"quire hex must start with 0x: {text!r}")
         bits = int(t[2:], 16)
@@ -181,7 +170,7 @@ class Quire:
             raise ValueError(f"quire pattern wider than {cfg.total_width} bits")
         if bits >> (cfg.total_width - 1):
             bits -= 1 << cfg.total_width
-        return cls(cfg, bits, False)
+        return cls(cfg, bits)
 
 
 def exact_dot(xs: Sequence[int], ys: Sequence[int], cfg) -> int:

@@ -1,21 +1,14 @@
-"""Row-major indexing, prefix selection, and axis splitting."""
+"""Row-major indexing and dense-array validation."""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis.strategies import integers, lists
 
-from tensorquire.arrays import (
-    DenseArray,
-    element_count,
-    flat_index,
-    from_column_major,
-    iter_indices,
-    merge_axes,
-    split_axis,
-    subarray,
-)
+from tensorquire.arrays import DenseArray, element_count, flat_index
 
 dims_strategy = lists(integers(1, 5), min_size=1, max_size=4)
 
@@ -41,80 +34,8 @@ def test_flat_index_rejects_out_of_range():
 
 @given(dims_strategy)
 def test_flat_index_is_a_bijection(dims):
-    seen = [flat_index(idx, dims) for idx in iter_indices(dims)]
+    seen = [flat_index(idx, dims) for idx in itertools.product(*map(range, dims))]
     assert seen == list(range(element_count(dims)))
-
-
-def test_subarray_empty_prefix_is_identity():
-    a = _arange((2, 3, 4))
-    assert subarray((), a) == a
-
-
-def test_subarray_selects_rows():
-    a = _arange((2, 3))
-    assert subarray((1,), a).data == (3, 4, 5)
-    assert subarray((1,), a).dims == (3,)
-
-
-def test_subarray_composes():
-    a = _arange((2, 3, 4))
-    for i in range(2):
-        for j in range(3):
-            two_step = subarray((j,), subarray((i,), a))
-            assert subarray((i, j), a) == two_step
-            assert two_step.data == tuple(range(i * 12 + j * 4, i * 12 + j * 4 + 4))
-
-
-def test_subarray_full_prefix_is_scalar():
-    a = _arange((2, 3))
-    s = subarray((1, 2), a)
-    assert s.dims == ()
-    assert s.data == (5,)
-
-
-def test_split_axis_layout():
-    a = _arange((6,))
-    s = split_axis(a, 0, 2)
-    assert s.dims == (3, 2)
-    # same flat buffer, just viewed in blocks
-    assert s.data == a.data
-    for i in range(3):
-        for j in range(2):
-            assert s.at(i, j) == 2 * i + j
-
-
-def test_split_axis_block_one():
-    a = _arange((4,))
-    s = split_axis(a, 0, 1)
-    assert s.dims == (4, 1)
-    assert s.data == a.data
-
-
-def test_split_axis_inner_axis():
-    a = _arange((2, 6))
-    s = split_axis(a, 1, 3)
-    assert s.dims == (2, 2, 3)
-    assert s.at(1, 1, 2) == a.at(1, 5)
-
-
-def test_split_axis_rejects_nondivisor():
-    with pytest.raises(ValueError):
-        split_axis(_arange((6,)), 0, 4)
-
-
-@given(dims_strategy, integers(0, 3), integers(1, 5))
-def test_split_then_merge_round_trips(dims, axis, block):
-    if axis >= len(dims):
-        axis = axis % len(dims)
-    dims = list(dims)
-    dims[axis] *= block  # guarantee divisibility
-    a = _arange(dims)
-    assert merge_axes(split_axis(a, axis, block), axis) == a
-
-
-def test_from_column_major():
-    a = from_column_major([1, 3, 2, 4], (2, 2))
-    assert a.data == (1, 2, 3, 4)
 
 
 def test_dense_array_validation():

@@ -326,12 +326,16 @@ class TestUsage:
             ("census", "reuse", "--size", "0"),
             ("census", "reuse", "--size", "-2"),
             ("plan", "--kernel", "dot", "--n", "0", "--cost-model", "cm.txt"),
+            ("plan", "--kernel", "dot", "--n", "5000", "--cost-model", "cm.txt"),
             ("posit", "decode", "--bits", "0x40000000", "--n", "99"),
             ("posit", "decode", "--bits", "0x40000000", "--es", "40"),
             ("kernel", "cg", "--matrix", "eye.arr", "--rhs", "rhs.arr", "--iters", "0"),
             ("kernel", "dot", "--a", "x.arr", "--b", "x.arr", "--n", "2"),
         ],
-        ids=["size-0", "size-neg", "plan-n-0", "posit-n-99", "posit-es-40", "iters-0", "kernel-n-2"],
+        ids=[
+            "size-0", "size-neg", "plan-n-0", "plan-n-5000",
+            "posit-n-99", "posit-es-40", "iters-0", "kernel-n-2",
+        ],
     )
     def test_bad_flag_values_are_usage_errors(self, capsys, files, argv):
         paths = {

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import integers, lists
 
 from oracles import ref_dot
+from tensorquire.backends import QuireBackend
 from tensorquire.posit import POSIT8, POSIT32, decode, encode_round
 from tensorquire.quire import Quire, QuireConfig, exact_dot
 
@@ -89,6 +90,43 @@ def test_to_posit_saturation():
     assert not q.nar  # the accumulator holds 2*maxpos^2 exactly
     assert q.value == 2 * Fraction(2) ** 48
     assert q.to_posit() == POSIT8.maxpos_pattern
+
+
+MAXPOS8 = POSIT8.maxpos_pattern
+NEG_MAXPOS8 = (-MAXPOS8) & POSIT8.mask
+
+
+def _doubled(q, times):
+    for _ in range(times):
+        q = q.merge(q)
+    return q
+
+
+def test_carry_edge_grouping_invariance():
+    # a + b exceeds the carry room on its own, a + b + c does not; the
+    # drain judges only the final exact sum, so both groupings agree
+    a = b = _doubled(Quire.zero(Q8).fma(MAXPOS8, MAXPOS8), 30)
+    c = _doubled(Quire.zero(Q8).fma(NEG_MAXPOS8, MAXPOS8), 30)
+    left = a.merge(b).merge(c)
+    right = a.merge(b.merge(c))
+    assert left.to_posit() == right.to_posit() == MAXPOS8
+    assert left == right
+
+
+def test_carry_edge_grouping_invariance_backend():
+    be = QuireBackend(POSIT8)
+
+    def doubled(factors):
+        acc = be.accum_term(be.accum_new(), factors)
+        for _ in range(30):
+            acc = be.accum_merge(acc, acc)
+        return acc
+
+    a = b = doubled((MAXPOS8, MAXPOS8))
+    c = doubled((NEG_MAXPOS8, MAXPOS8))
+    left = be.accum_finish(be.accum_merge(be.accum_merge(a, b), c))
+    right = be.accum_finish(be.accum_merge(a, be.accum_merge(b, c)))
+    assert left == right == MAXPOS8
 
 
 def test_merge_identity_and_commutativity():
