@@ -27,7 +27,7 @@ from .arrays import DenseArray
 from .backends import BACKEND_NAMES, make_backend
 from .exprs import kernel_expr, normalize, reuse_census
 from .kernels import BreakdownError, cg_solve, run_dot, run_matmul, run_matvec, run_outer
-from .planner import format_cost_model, loop_occurrences, parse_cost_model, plan, search
+from .planner import format_cost_model, loop_occurrences, parse_cost_model, plan
 from .posit import PositConfig, decode, encode_round, format_bits, parse_bits
 from .schedule import SEQUENTIAL, format_schedule, parse_schedule, schedule_from_seed
 
@@ -268,7 +268,7 @@ def cmd_plan(args) -> Report:
     rep.add("lifts", lifts if lifts else "none")
     rep.add("predicted_cost", result.predicted_cost)
     if args.table:
-        for cost, blocks in search(nf, cm):
+        for cost, blocks in result.table:
             rep.add("candidate", ",".join(str(b) for b in blocks) + f":{cost}")
     return rep
 

@@ -218,11 +218,13 @@ def predict_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
 
 @dataclass(frozen=True)
 class LayoutPlan:
-    """Chosen blocks per loop occurrence plus the lifts they imply."""
+    """Chosen blocks per loop occurrence plus the lifts they imply, and
+    the sorted ``search`` table they were chosen from."""
 
     tiles: Tuple[Tuple[str, int, int], ...]  # (var, extent, block)
     lifts: Tuple[Tuple[str, str, int], ...]  # (operand, var, block)
     predicted_cost: int
+    table: Tuple[Tuple[int, Tuple[int, ...]], ...]  # (cost, blocks)
 
     @property
     def blocks(self) -> Tuple[int, ...]:
@@ -262,4 +264,4 @@ def plan(nf: NormalForm, cm: CostModel) -> LayoutPlan:
             if var in addr_vars and 1 < b < ext and (ref.array, oid) not in seen:
                 seen.add((ref.array, oid))
                 lifts.append((ref.array, var, b))
-    return LayoutPlan(tiles, tuple(lifts), cost)
+    return LayoutPlan(tiles, tuple(lifts), cost, tuple(table))

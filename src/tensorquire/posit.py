@@ -14,11 +14,12 @@ complement of their positive counterpart, which makes numeric order
 coincide with signed-integer order on the patterns.
 
 All arithmetic here is exact-then-round: operands decode to exact
-rationals, the operation is performed without error, and the result is
-rounded once.  Rounding is to nearest, ties to the pattern with even
-last bit, evaluated at the truncation point of the (conceptually
-infinite) encoded bit string; magnitudes beyond the dynamic range
-saturate at maxpos/minpos and never round to zero or NaR.
+integers ``sig * 2**scale``, the operation is performed without error
+(a quotient keeps a sticky bit for its remainder), and the result is
+rounded once, by ``round_scaled``.  Rounding is to nearest, ties to the
+pattern with even last bit, evaluated at the truncation point of the
+(conceptually infinite) encoded bit string; magnitudes beyond the
+dynamic range saturate at maxpos/minpos and never round to zero or NaR.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "POSIT64",
     "decode",
     "encode_round",
+    "round_scaled",
     "arith",
     "compare",
     "to_float",
@@ -119,8 +121,8 @@ class DecodedReal(NamedTuple):
     """Exact value of a pattern: ``sign * significand * 2**scale``.
 
     ``significand`` is odd for finite nonzero values, so the triple is
-    canonical.  ``kind`` is one of "zero", "nar", "finite"; sign is +1
-    or -1.
+    canonical; zero has significand 0, so the product is its value too.
+    ``kind`` is one of "zero", "nar", "finite"; sign is +1 or -1.
     """
 
     kind: str
@@ -130,9 +132,7 @@ class DecodedReal(NamedTuple):
 
     @property
     def value(self) -> Fraction:
-        if self.kind != FINITE:
-            if self.kind == ZERO:
-                return Fraction(0)
+        if self.kind == NAR:
             raise ValueError("NaR has no rational value")
         return scaled_fraction(self.sign * self.significand, self.scale)
 
@@ -195,93 +195,68 @@ def decode(bits: int, cfg: PositConfig) -> DecodedReal:
     return result
 
 
-def _floor_log2(num: int, den: int) -> int:
-    """Largest L with 2**L <= num/den, for positive num, den."""
-    L = num.bit_length() - den.bit_length()
-    if L >= 0:
-        if (den << L) > num:
-            L -= 1
-    else:
-        if den > (num << -L):
-            L -= 1
-    return L
+def round_scaled(v: int, scale: int, cfg: PositConfig) -> int:
+    """Round the exact value ``v * 2**scale`` to the nearest pattern.
 
-
-def encode_round(x: Union[Fraction, int, DecodedReal], cfg: PositConfig) -> int:
-    """Round an exact value to the nearest pattern of ``cfg``.
-
-    Ties go to the pattern with even last bit.  Magnitudes above maxpos
-    return maxpos, nonzero magnitudes below minpos return minpos; zero
-    and NaR map to their reserved patterns.
+    ``v`` is a signed integer.  Ties go to the pattern with even last
+    bit.  Magnitudes above maxpos return maxpos, nonzero magnitudes
+    below minpos return minpos, and zero returns the zero pattern.
     """
-    if isinstance(x, DecodedReal):
-        if x.kind == ZERO:
-            return 0
-        if x.kind == NAR:
-            return cfg.nar_pattern
-        x = x.value
-    if x == 0:
+    if v == 0:
         return 0
-
-    neg = x < 0
-    if neg:
-        x = -x
-    num = x.numerator
-    den = x.denominator
-
-    L = _floor_log2(num, den)
+    m = abs(v) << cfg.nbits  # nbits zero bits keep the guard bit inside m
+    top = m.bit_length() - 1
+    L = top - cfg.nbits + scale  # floor(log2 |value|)
     if L >= cfg.max_scale:
         p = cfg.maxpos_pattern
     elif L < cfg.min_scale:
         p = cfg.minpos_pattern
     else:
-        p = _encode_magnitude(num, den, L, cfg)
+        es = cfg.es
+        k = L >> es
+        if k >= 0:
+            run = k + 1
+            regime = ((1 << run) - 1) << 1  # run ones then the 0 terminator
+        else:
+            run = -k
+            regime = 1  # run zeros then the 1 terminator
+        avail = cfg.nbits - 2 - run  # bits left for exponent + fraction
 
-    if neg:
+        # The exponent bits followed by the fraction bits of m below its
+        # leading one: the encoded bit string after the regime, whole.
+        body = ((L & ((1 << es) - 1)) << top) | (m ^ (1 << top))
+        drop = es + top - avail  # at least es + 3, given the padding
+        p = (regime << avail) | (body >> drop)
+        guard = (body >> (drop - 1)) & 1
+        if guard and (body & ((1 << (drop - 1)) - 1) or p & 1):
+            p += 1
+    if v < 0:
         p = (-p) & cfg.mask
     return p
 
 
-def _encode_magnitude(num: int, den: int, L: int, cfg: PositConfig) -> int:
-    """Encode num/den in [minpos, maxpos) given L = floor(log2(num/den))."""
-    k, e = divmod(L, 1 << cfg.es)
-    if k >= 0:
-        run = k + 1
-        regime = ((1 << run) - 1) << 1  # run ones then the 0 terminator
-    else:
-        run = -k
-        regime = 1  # run zeros then the 1 terminator
-    avail = cfg.nbits - 2 - run  # bits left for exponent + fraction
+def _round_quotient(num: int, den: int, scale: int, cfg: PositConfig) -> int:
+    """Round ``num / den * 2**scale`` (``den`` > 0) to the nearest pattern.
 
-    # The exponent bits followed by the fraction expansion read, as a
-    # binary fraction, (e + (num/den / 2**L - 1)) / 2**es.
-    if L >= 0:
-        fn, fd = num, den << L
-    else:
-        fn, fd = num << -L, den
-    vn = e * fd + fn - fd
-    vd = fd << cfg.es
-
-    kept, r = divmod(vn << avail, vd)
-    r <<= 1
-    guard = r >= vd
-    sticky = r != vd if guard else r != 0
-
-    p = (regime << avail) | kept
-    if guard and (sticky or (p & 1)):
-        p += 1
-    return p
+    The integer quotient keeps at least nbits + 1 bits, more than the
+    kept bits plus the guard bit of any pattern, so a nonzero remainder
+    ORed into its last bit acts only as the sticky bit.
+    """
+    shift = max(0, cfg.nbits + 1 + den.bit_length() - num.bit_length())
+    q, r = divmod(abs(num) << shift, den)
+    if r:
+        q |= 1
+    return round_scaled(-q if num < 0 else q, scale - shift, cfg)
 
 
-def _exact_add(a: DecodedReal, b: DecodedReal, negate_b: bool) -> Union[Fraction, DecodedReal]:
-    sb = -b.sign if negate_b else b.sign
-    scale = min(a.scale, b.scale)
-    va = (a.sign * a.significand) << (a.scale - scale)
-    vb = (sb * b.significand) << (b.scale - scale)
-    v = va + vb
-    if v == 0:
-        return _DECODED_ZERO
-    return scaled_fraction(v, scale)
+def encode_round(x: Union[Fraction, int], cfg: PositConfig) -> int:
+    """Round an exact rational to the nearest pattern of ``cfg``.
+
+    Ties go to the pattern with even last bit.  Magnitudes above maxpos
+    return maxpos, nonzero magnitudes below minpos return minpos; zero
+    maps to its reserved pattern.
+    """
+    return _round_quotient(x.numerator, x.denominator, 0, cfg)
 
 
 def arith(op: str, a: int, b: int, cfg: PositConfig) -> int:
@@ -295,32 +270,20 @@ def arith(op: str, a: int, b: int, cfg: PositConfig) -> int:
     if da.kind == NAR or db.kind == NAR:
         return cfg.nar_pattern
 
+    va = da.sign * da.significand
+    vb = db.sign * db.significand
     if op == "add" or op == "sub":
-        negate = op == "sub"
-        if da.kind == ZERO:
-            if db.kind == ZERO:
-                return 0
-            return ((-b) & cfg.mask) if negate else b
-        if db.kind == ZERO:
-            return a
-        return encode_round(_exact_add(da, db, negate), cfg)
+        if op == "sub":
+            vb = -vb
+        # Align both operands to the smaller scale; the sum is exact.
+        scale = min(da.scale, db.scale)
+        return round_scaled((va << (da.scale - scale)) + (vb << (db.scale - scale)), scale, cfg)
     if op == "mul":
-        if da.kind == ZERO or db.kind == ZERO:
-            return 0
-        sign = da.sign * db.sign
-        sig = da.significand * db.significand
-        return encode_round(DecodedReal(FINITE, sign, da.scale + db.scale, sig), cfg)
+        return round_scaled(va * vb, da.scale + db.scale, cfg)
     if op == "div":
-        if db.kind == ZERO:
+        if vb == 0:
             return cfg.nar_pattern
-        if da.kind == ZERO:
-            return 0
-        q = Fraction(da.sign * db.sign * da.significand, db.significand)
-        if da.scale >= db.scale:
-            q *= 1 << (da.scale - db.scale)
-        else:
-            q /= 1 << (db.scale - da.scale)
-        return encode_round(q, cfg)
+        return _round_quotient(va * db.sign, db.significand, da.scale - db.scale, cfg)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -352,8 +315,6 @@ def to_float(bits: int, cfg: PositConfig, exact: bool = True) -> float:
     ``exact=False`` to accept the nearest double instead.
     """
     d = decode(bits, cfg)
-    if d.kind == ZERO:
-        return 0.0
     if d.kind == NAR:
         return float("nan")
     if d.significand.bit_length() <= 53:

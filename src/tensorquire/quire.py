@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .posit import NAR, ZERO, PositConfig, decode, encode_round, scaled_fraction
+from .posit import NAR, PositConfig, decode, round_scaled, scaled_fraction
 
 __all__ = ["QuireConfig", "Quire", "exact_dot", "product_units", "add_units", "drain"]
 
@@ -68,16 +68,15 @@ def product_units(a_bits: int, b_bits: int, qcfg: QuireConfig) -> Optional[int]:
     """Exact product of two posits in accumulator units, None for NaR.
 
     The shift below is never negative: the smallest odd-significand
-    scale any finite posit can have is the minpos scale, so a product's
-    lowest set bit is at or above minpos squared.
+    scale any finite posit can have is the minpos scale, and zero
+    (significand 0, scale 0) sits above it, so a product's lowest set
+    bit is at or above minpos squared.
     """
     pcfg = qcfg.posit
     da = decode(a_bits, pcfg)
     db = decode(b_bits, pcfg)
     if da.kind == NAR or db.kind == NAR:
         return None
-    if da.kind == ZERO or db.kind == ZERO:
-        return 0
     shift = da.scale + db.scale - qcfg.lsb_scale
     return (da.sign * db.sign) * (da.significand * db.significand) << shift
 
@@ -100,9 +99,7 @@ def drain(acc: Optional[int], qcfg: QuireConfig) -> int:
     """Round an accumulator to a posit; the quire's single rounding."""
     if _is_nar(acc, qcfg):
         return qcfg.posit.nar_pattern
-    if acc == 0:
-        return 0
-    return encode_round(scaled_fraction(acc, qcfg.lsb_scale), qcfg.posit)
+    return round_scaled(acc, qcfg.lsb_scale, qcfg.posit)
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def exact_dot(xs: Sequence[int], ys: Sequence[int], cfg) -> int:
         cfg = QuireConfig(cfg)
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    q = Quire.zero(cfg)
+    acc = 0
     for a, b in zip(xs, ys):
-        q = q.fma(a, b)
-    return q.to_posit()
+        acc = add_units(acc, product_units(a, b, cfg))
+    return drain(acc, cfg)

@@ -302,6 +302,31 @@ class TestPlanCommand:
         assert len(costs) == 27
         assert costs == sorted(costs)
 
+    def test_table_comes_from_the_one_search(self, capsys, files, monkeypatch):
+        import tensorquire.cli as cli_mod
+        import tensorquire.planner as planner_mod
+
+        original = planner_mod.search
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for mod in (planner_mod, cli_mod):
+            if getattr(mod, "search", None) is original:
+                monkeypatch.setattr(mod, "search", counted)
+        cm = files("cm.txt", SMALL_CM)
+        code, out, _ = run_cli(
+            capsys,
+            "plan", "--kernel", "matmul", "--n", "4", "--cost-model", cm, "--table",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        got = lines_of(out)
+        first = next(ln for ln in out.splitlines() if ln.startswith("candidate="))
+        assert first == f"candidate={got['blocks']}:{got['predicted_cost']}"
+
     def test_bad_model_is_data_error(self, capsys, files):
         cm = files("cm.txt", "element=4\n")
         code, _, err = run_cli(

@@ -171,6 +171,62 @@ class TestArith:
     def test_matches_reference(self, op, a, b):
         assert arith(op, a, b, POSIT8) == ref_arith(op, a, b, 8, 2)
 
+    @pytest.mark.parametrize(
+        "nbits,es", [(n, es) for n in range(3, 7) for es in range(n - 2)]
+    )
+    def test_matches_reference_exhaustive_small(self, nbits, es):
+        """Every operand pair of every small format, and the encoding of
+        every pattern's value and of every midpoint between neighbours,
+        against the string-route oracle.  The patterns one bit wider
+        decode to exactly those values and midpoints."""
+        cfg = PositConfig(nbits, es)
+        wider = PositConfig(nbits + 1, es)
+        for q in range(1 << (nbits + 1)):
+            x = ref_decode(q, wider)
+            if x is not None:
+                assert encode_round(x, cfg) == ref_encode(x, nbits, es), q
+        pats = range(1 << nbits)
+        for op in ("add", "sub", "mul", "div"):
+            for a in pats:
+                for b in pats:
+                    assert arith(op, a, b, cfg) == ref_arith(op, a, b, nbits, es), (op, a, b)
+
+
+class TestNoFractionOnArithmeticPath:
+    """Operations and quire drains round exact integers; a Fraction
+    built anywhere on that path is a second rounding route."""
+
+    def test_arith_and_quire_build_no_fraction(self, monkeypatch):
+        import random
+
+        import tensorquire.posit as posit_mod
+        import tensorquire.quire as quire_mod
+
+        ops = ("add", "sub", "mul", "div")
+        pairs = [(a, b) for a in range(256) for b in range(256)]
+        rng = random.Random(8)
+        vecs = [[rng.getrandbits(32) for _ in range(16)] for _ in range(6)]
+        qcfg = quire_mod.QuireConfig(POSIT32)
+        accs = [0, None, 3, -(1 << 300), qcfg.max_int + 1]
+        expect = (
+            [[arith(op, a, b, POSIT8) for a, b in pairs] for op in ops],
+            [quire_mod.exact_dot(x, y, POSIT32) for x, y in zip(vecs, vecs[1:])],
+            [quire_mod.drain(acc, qcfg) for acc in accs],
+        )
+
+        class NoFraction:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("Fraction built on the arithmetic path")
+
+        monkeypatch.setattr(posit_mod, "Fraction", NoFraction)
+        monkeypatch.setattr(quire_mod, "Fraction", NoFraction)
+        got = (
+            [[arith(op, a, b, POSIT8) for a, b in pairs] for op in ops],
+            [quire_mod.exact_dot(x, y, POSIT32) for x, y in zip(vecs, vecs[1:])],
+            [quire_mod.drain(acc, qcfg) for acc in accs],
+        )
+        assert got == expect
+
 
 class TestCompare:
     def test_goldens(self):
