@@ -29,7 +29,6 @@ __all__ = [
     "ArrayData",
     "ARRAY_FORMATS",
     "parse_array",
-    "format_array",
     "load_values",
     "exception_value",
     "Report",
@@ -91,12 +90,6 @@ def parse_array(text: str) -> ArrayData:
                     f"{fmt} wants 0x + {width} hex digits, got {tok!r}"
                 )
     return ArrayData(dims, fmt, tokens)
-
-
-def format_array(data: ArrayData) -> str:
-    lines = ["shape " + " ".join(str(d) for d in data.dims), "format " + data.fmt]
-    lines.extend(data.tokens)
-    return "\n".join(lines) + "\n"
 
 
 def exception_value(backend):

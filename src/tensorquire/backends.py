@@ -12,7 +12,10 @@ rounds, which is what the rounding-census properties measure:
   binary32/64    IEEE semantics, every op rounds
   rational       exact Fractions, never rounds (the oracle)
 
-The naive and IEEE backends share RoundingBackend's reduction.
+The naive and IEEE backends share RoundingBackend's reduction.  Both
+IEEE formats hold Python floats and share one arithmetic: an op
+computes in binary64 and rounds once to the target format, which for
+binary32 is the correctly rounded result because 53 >= 2*24 + 2.
 
 Input conversion (from_fraction) is an I/O boundary and deliberately
 does not count as a kernel rounding.  Exception values (posit NaR,
@@ -26,8 +29,6 @@ import math
 import struct
 from fractions import Fraction
 from typing import Callable, Optional
-
-import numpy as np
 
 from .posit import PositConfig, arith, decode, encode_round, to_float
 from .quire import QuireConfig, add_units, drain, product_units
@@ -238,61 +239,83 @@ class PositNaiveBackend(RoundingBackend, QuireBackend):
 
 
 class _IEEEBackend(RoundingBackend):
-    """Conversions shared by the IEEE formats.
+    """The arithmetic and conversions shared by the IEEE formats.
 
-    A subclass names its ``struct`` code and its ``from_float``; input
-    goes exact -> binary64 -> target format.
+    Values are Python floats that the format represents exactly.  Each
+    op computes in binary64 and rounds once with the subclass's
+    ``from_float``.  For binary32 that double rounding gives the
+    correctly rounded binary32 result of +, -, * and /, because
+    binary64 carries 53 >= 2*24 + 2 significand bits (Figueroa, "When is
+    double rounding innocuous?", SIGNUM 1995).  A subclass names its
+    ``struct`` code and its ``from_float``; input goes exact -> binary64
+    -> target format.
     """
 
     struct_code: str
-    from_float: Callable[[float], object]
+    from_float: Callable[[float], float]
+
+    def _round(self, v: float) -> float:
+        self.roundings += 1
+        return self.from_float(v)
+
+    def mul(self, a, b):
+        return self._round(a * b)
+
+    def add(self, a, b):
+        return self._round(a + b)
+
+    def sub(self, a, b):
+        return self._round(a - b)
+
+    def div(self, a, b):
+        if b != 0.0:
+            q = a / b
+        elif a == 0.0 or math.isnan(a):
+            # 0/0 and NaN/0 give the one quiet NaN of each format
+            q = math.nan
+        else:
+            q = math.copysign(math.inf, a) * math.copysign(1.0, b)
+        return self._round(q)
+
+    def neg(self, a):
+        return -a
 
     def from_fraction(self, x: Fraction):
         return self.from_float(float(x))
 
     def to_fraction(self, v) -> Optional[Fraction]:
-        return None if self.is_exception(v) else Fraction(float(v))
+        return None if self.is_exception(v) else Fraction(v)
 
     def is_zero(self, v) -> bool:
-        return float(v) == 0.0
+        return v == 0.0
 
     def is_exception(self, v) -> bool:
-        f = float(v)
-        return math.isnan(f) or math.isinf(f)
+        return math.isnan(v) or math.isinf(v)
 
     def to_hex(self, v) -> str:
-        return "0x" + struct.pack(self.struct_code, float(v)).hex()
+        return "0x" + struct.pack(self.struct_code, v).hex()
 
     def format_value(self, v) -> str:
-        return repr(float(v))
+        return repr(v)
+
+
+_F32 = struct.Struct("f")
 
 
 class Binary32Backend(_IEEEBackend):
-    """IEEE single precision via numpy float32 scalars."""
+    """IEEE single precision: binary64 floats rounded through ``struct``."""
 
     name = "binary32"
     struct_code = ">f"
-    from_float = staticmethod(np.float32)
 
-    def _op(self, f, a, b):
-        self.roundings += 1
-        with np.errstate(all="ignore"):
-            return f(np.float32(a), np.float32(b))
-
-    def mul(self, a, b):
-        return self._op(np.multiply, a, b)
-
-    def add(self, a, b):
-        return self._op(np.add, a, b)
-
-    def sub(self, a, b):
-        return self._op(np.subtract, a, b)
-
-    def div(self, a, b):
-        return self._op(np.divide, a, b)
-
-    def neg(self, a):
-        return np.float32(-np.float32(a))
+    @staticmethod
+    def from_float(x: float) -> float:
+        """The binary32 value nearest to x (ties to even), as a float."""
+        try:
+            return _F32.unpack(_F32.pack(x))[0]
+        except OverflowError:
+            # pack rejects a finite x that rounds past the largest binary32
+            return math.copysign(math.inf, x)
 
 
 class Binary64Backend(_IEEEBackend):
@@ -301,30 +324,6 @@ class Binary64Backend(_IEEEBackend):
     name = "binary64"
     struct_code = ">d"
     from_float = staticmethod(float)
-
-    def _count(self, v: float) -> float:
-        self.roundings += 1
-        return v
-
-    def mul(self, a, b):
-        return self._count(a * b)
-
-    def add(self, a, b):
-        return self._count(a + b)
-
-    def sub(self, a, b):
-        return self._count(a - b)
-
-    def div(self, a, b):
-        if b == 0.0:
-            self.roundings += 1
-            if a == 0.0 or math.isnan(a):
-                return math.nan
-            return math.copysign(math.inf, a) * math.copysign(1.0, b)
-        return self._count(a / b)
-
-    def neg(self, a):
-        return -a
 
 
 class RationalBackend(Backend):

@@ -11,7 +11,6 @@ from tensorquire.arrayio import (
     ArrayData,
     ArrayFormatError,
     Report,
-    format_array,
     load_values,
     parse_array,
 )
@@ -34,9 +33,9 @@ def test_parse_comments_and_layout():
     assert data.tokens == ("1", "2", "3", "4")
 
 
-def test_format_parse_round_trip():
+def test_parse_hex_tokens():
     data = ArrayData((2, 2), "posit16", ("0x4000", "0x0000", "0x8000", "0x3000"))
-    assert parse_array(format_array(data)) == data
+    assert parse_array("shape 2 2\nformat posit16\n0x4000 0x0000\n0x8000 0x3000\n") == data
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,21 @@ class TestKernelCommand:
         assert got["result"].endswith(" 0.0")
         assert got["roundings"] == "5"
 
+    def test_nan_token_loads_without_a_rounding(self, capsys, files):
+        a = files("x.arr", "shape 3\nformat decimal\n1 NaR 2\n")
+        b = files("y.arr", ONES_3)
+        for backend, result, roundings in (
+            ("quire", "0x80000000 NaR", "1"),
+            ("binary32", "0x7fc00000 nan", "5"),
+        ):
+            code, out, _ = run_cli(
+                capsys, "kernel", "dot", "--a", a, "--b", b, "--backend", backend
+            )
+            assert code == 0
+            got = lines_of(out)
+            assert got["result"] == result
+            assert got["roundings"] == roundings
+
     def test_quire_reports_identical_across_seeds(self, capsys, files):
         a = files("x.arr", CANCEL_X)
         b = files("y.arr", ONES_3)
