@@ -30,7 +30,7 @@ import struct
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .posit import PositConfig, arith, decode, encode_round, to_float
+from .posit import PositConfig, arith, decode, encode_round, format_bits, to_float
 from .quire import QuireConfig, add_units, drain, product_units
 
 __all__ = [
@@ -119,10 +119,10 @@ class Backend:
 class QuireBackend(Backend):
     """Posit scalars with exact quire reductions; values are bit patterns."""
 
-    def __init__(self, cfg: PositConfig, carry_bits: int = 31) -> None:
+    def __init__(self, cfg: PositConfig) -> None:
         super().__init__()
         self.cfg = cfg
-        self.qcfg = QuireConfig(cfg, carry_bits)
+        self.qcfg = QuireConfig(cfg)
         self._one = 1 << (cfg.nbits - 2)
         self.name = f"posit-quire({cfg.nbits},{cfg.es})"
 
@@ -188,7 +188,7 @@ class QuireBackend(Backend):
         return v == self.cfg.nar_pattern
 
     def to_hex(self, v) -> str:
-        return f"0x{v:0{self.cfg.hex_digits}x}"
+        return format_bits(v, self.cfg)
 
     def format_value(self, v) -> str:
         if v == self.cfg.nar_pattern:
@@ -281,7 +281,10 @@ class _IEEEBackend(RoundingBackend):
         return -a
 
     def from_fraction(self, x: Fraction):
-        return self.from_float(float(x))
+        try:
+            return self.from_float(float(x))
+        except OverflowError:  # int / int rounds correctly: the nearest is inf
+            return math.inf if x > 0 else -math.inf
 
     def to_fraction(self, v) -> Optional[Fraction]:
         return None if self.is_exception(v) else Fraction(v)

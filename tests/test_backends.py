@@ -141,6 +141,21 @@ def test_binary32_input_overflow_is_inf_without_warning():
     assert backend.from_float(-top - 2.0**103) == -math.inf
 
 
+@pytest.mark.parametrize("name", list(FORMATS))
+def test_from_fraction_overflow_is_signed_inf(name):
+    backend = make_backend(name)
+    big = Fraction(10) ** 400
+    assert backend.from_fraction(big) == math.inf
+    assert backend.from_fraction(-big) == -math.inf
+    # below the midpoint past the largest binary64 the value rounds to
+    # that double, then to the format; the midpoint itself ties to the
+    # even neighbour, 2**1024, which is +inf
+    top = Fraction(struct.unpack(">d", bytes.fromhex("7fefffffffffffff"))[0])
+    half_ulp = Fraction(2) ** 970
+    assert backend.from_fraction(top + half_ulp - 1) == backend.from_float(float(top))
+    assert backend.from_fraction(-top - half_ulp) == -math.inf
+
+
 def test_import_loads_no_numpy():
     code = (
         "import sys\n"

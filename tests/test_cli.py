@@ -119,6 +119,19 @@ class TestKernelCommand:
             assert got["result"] == result
             assert got["roundings"] == roundings
 
+    def test_overflowing_decimal_token_is_inf(self, capsys, files):
+        a = files("x.arr", "shape 2\nformat decimal\n1e400 1\n")
+        b = files("y.arr", "shape 2\nformat decimal\n1 1\n")
+        for backend, result in (
+            ("binary64", "0x7ff0000000000000 inf"),
+            ("binary32", "0x7f800000 inf"),
+        ):
+            code, out, _ = run_cli(
+                capsys, "kernel", "dot", "--a", a, "--b", b, "--backend", backend
+            )
+            assert code == 0
+            assert lines_of(out)["result"] == result
+
     def test_quire_reports_identical_across_seeds(self, capsys, files):
         a = files("x.arr", CANCEL_X)
         b = files("y.arr", ONES_3)

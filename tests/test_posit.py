@@ -7,6 +7,8 @@ Exhaustive sweeps at the larger widths live in test_acceptance.py.
 
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -86,15 +88,48 @@ class TestDecode:
             neg = (-p) & POSIT8.mask
             assert decode(neg, POSIT8).value == -decode(p, POSIT8).value
 
-    def test_matches_reference_exhaustive_8(self):
-        for p in range(256):
-            mine = decode(p, POSIT8)
-            ref = ref_decode(p, POSIT8)
+    @staticmethod
+    def check_against_reference(patterns, cfg):
+        for p in patterns:
+            mine = decode(p, cfg)
+            ref = ref_decode(p, cfg)
             if ref is None:
-                assert mine.kind == NAR
+                assert mine.kind == NAR, hex(p)
+            elif ref == 0:
+                assert mine == (ZERO, 1, 0, 0), hex(p)
             else:
-                assert mine.kind in (ZERO, FINITE)
-                assert mine.value == ref
+                assert mine.kind == FINITE, hex(p)
+                assert mine.significand & 1, hex(p)  # the canonical triple
+                assert mine.value == ref, hex(p)
+
+    @pytest.mark.parametrize(
+        "nbits,es", [(n, es) for n in range(3, 13) for es in range(n - 2)]
+    )
+    def test_matches_reference_exhaustive(self, nbits, es):
+        self.check_against_reference(range(1 << nbits), PositConfig(nbits, es))
+
+    @pytest.mark.parametrize("nbits,es", [(32, 2), (64, 2), (64, 3)])
+    def test_matches_reference_random(self, nbits, es):
+        # the oracle's exact values grow as 2**(2**es * nbits), so wide
+        # formats are checked at small es only
+        rng = random.Random(f"decode:{nbits}:{es}")
+        self.check_against_reference(
+            [rng.getrandbits(nbits) for _ in range(20000)], PositConfig(nbits, es)
+        )
+
+    def test_memory_stays_bounded(self):
+        # a stream of distinct patterns must not grow the process: the
+        # decode memo keeps a bounded number of them
+        patterns = random.Random("decode-stream").sample(range(1 << 32), 200_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for p in patterns:
+                decode(p, POSIT32)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 10 * 2**20, grown
 
     def test_rejects_wide_pattern(self):
         with pytest.raises(ValueError):
