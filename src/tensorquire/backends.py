@@ -12,10 +12,12 @@ rounds, which is what the rounding-census properties measure:
   binary32/64    IEEE semantics, every op rounds
   rational       exact Fractions, never rounds (the oracle)
 
-The naive and IEEE backends share RoundingBackend's reduction.  Both
-IEEE formats hold Python floats and share one arithmetic: an op
-computes in binary64 and rounds once to the target format, which for
-binary32 is the correctly rounded result because 53 >= 2*24 + 2.
+Backend's own reduction is a fold of the backend's scalar ops, which
+the naive, IEEE and rational backends use as is; the quire backend is
+the one override.  Both IEEE formats hold Python floats and share one
+arithmetic: an op computes in binary64 and rounds once to the target
+format, which for binary32 is the correctly rounded result because
+53 >= 2*24 + 2.
 
 Input conversion (from_fraction) is an I/O boundary and deliberately
 does not count as a kernel rounding.  Exception values (posit NaR,
@@ -35,7 +37,6 @@ from .quire import QuireConfig, add_units, drain, product_units
 
 __all__ = [
     "Backend",
-    "RoundingBackend",
     "QuireBackend",
     "PositNaiveBackend",
     "Binary32Backend",
@@ -46,8 +47,14 @@ __all__ = [
 ]
 
 
+# the empty accumulator of the default fold; not None, which is the
+# rational backend's NaR
+_EMPTY = object()
+
+
 class Backend:
-    """Shared counter plumbing; subclasses implement the arithmetic."""
+    """Shared counter plumbing and the default reduction; subclasses
+    implement the arithmetic."""
 
     name: str = "abstract"
 
@@ -75,19 +82,37 @@ class Backend:
         raise NotImplementedError
 
     # -- accumulation protocol for scheduled reductions
+    #
+    # The default is a fold of the backend's own scalar ops.  A term's
+    # factors multiply left to right and the product is added to the
+    # running sum, so every step rounds once where the backend rounds.
+    # The empty reduction finishes as ``zero()`` and a term with no
+    # factors counts as ``one()``.
 
     def accum_new(self):
-        raise NotImplementedError
+        return _EMPTY
 
     def accum_term(self, acc, factors):
         """Fold one term (a tuple of factor values) into the accumulator."""
-        raise NotImplementedError
+        if not factors:
+            p = self.one()
+        else:
+            p = factors[0]
+            for f in factors[1:]:
+                p = self.mul(p, f)
+        if acc is _EMPTY:
+            return p
+        return self.add(acc, p)
 
     def accum_merge(self, a, b):
-        raise NotImplementedError
+        if a is _EMPTY:
+            return b
+        if b is _EMPTY:
+            return a
+        return self.add(a, b)
 
     def accum_finish(self, acc):
-        raise NotImplementedError
+        return self.zero() if acc is _EMPTY else acc
 
     # -- conversions and predicates
 
@@ -116,15 +141,14 @@ class Backend:
         raise NotImplementedError
 
 
-class QuireBackend(Backend):
-    """Posit scalars with exact quire reductions; values are bit patterns."""
+class PositNaiveBackend(Backend):
+    """Posit scalars; values are bit patterns and every op rounds,
+    reductions included."""
 
     def __init__(self, cfg: PositConfig) -> None:
         super().__init__()
         self.cfg = cfg
-        self.qcfg = QuireConfig(cfg)
-        self._one = 1 << (cfg.nbits - 2)
-        self.name = f"posit-quire({cfg.nbits},{cfg.es})"
+        self.name = f"posit-naive({cfg.nbits},{cfg.es})"
 
     def mul(self, a, b):
         self.roundings += 1
@@ -147,30 +171,6 @@ class QuireBackend(Backend):
         if a == self.cfg.nar_pattern:
             return a
         return (-a) & self.cfg.mask
-
-    def accum_new(self):
-        return 0
-
-    def accum_term(self, acc, factors):
-        if acc is None:
-            return None
-        if len(factors) < 2:
-            # a lone posit p is p*1, the empty term 1*1
-            head, last = self._one, (factors[0] if factors else self._one)
-        else:
-            # fold the extra factors with rounded multiplies, keep the
-            # last pair fused
-            head, last = factors[0], factors[-1]
-            for f in factors[1:-1]:
-                head = self.mul(head, f)
-        return add_units(acc, product_units(head, last, self.qcfg))
-
-    def accum_merge(self, a, b):
-        return add_units(a, b)
-
-    def accum_finish(self, acc):
-        self.roundings += 1
-        return drain(acc, self.qcfg)
 
     def from_fraction(self, x: Fraction):
         return encode_round(x, self.cfg)
@@ -196,49 +196,45 @@ class QuireBackend(Backend):
         return repr(to_float(v, self.cfg, exact=False))
 
 
-class RoundingBackend(Backend):
-    """Reductions made of the backend's own rounded scalar ops.
+class QuireBackend(PositNaiveBackend):
+    """The same posit scalars with exact quire reductions.
 
-    A term's factors multiply left to right and the product is added to
-    the running sum, so every step rounds once; the empty accumulator
-    is None.  The empty reduction finishes as ``zero()`` and a term with
-    no factors counts as ``one()``.
+    The accumulator is the quire's exact integer sum, or None after a
+    NaR operand; only accum_finish rounds.
     """
-
-    def accum_new(self):
-        return None
-
-    def accum_term(self, acc, factors):
-        if not factors:
-            p = self.one()
-        else:
-            p = factors[0]
-            for f in factors[1:]:
-                p = self.mul(p, f)
-        if acc is None:
-            return p
-        return self.add(acc, p)
-
-    def accum_merge(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return self.add(a, b)
-
-    def accum_finish(self, acc):
-        return self.zero() if acc is None else acc
-
-
-class PositNaiveBackend(RoundingBackend, QuireBackend):
-    """Same posit scalars, but reductions round after every operation."""
 
     def __init__(self, cfg: PositConfig) -> None:
         super().__init__(cfg)
-        self.name = f"posit-naive({cfg.nbits},{cfg.es})"
+        self.qcfg = QuireConfig(cfg)
+        self._one = 1 << (cfg.nbits - 2)
+        self.name = f"posit-quire({cfg.nbits},{cfg.es})"
+
+    def accum_new(self):
+        return 0
+
+    def accum_term(self, acc, factors):
+        if acc is None:
+            return None
+        if len(factors) < 2:
+            # a lone posit p is p*1, the empty term 1*1
+            head, last = self._one, (factors[0] if factors else self._one)
+        else:
+            # fold the extra factors with rounded multiplies, keep the
+            # last pair fused
+            head, last = factors[0], factors[-1]
+            for f in factors[1:-1]:
+                head = self.mul(head, f)
+        return add_units(acc, product_units(head, last, self.qcfg))
+
+    def accum_merge(self, a, b):
+        return add_units(a, b)
+
+    def accum_finish(self, acc):
+        self.roundings += 1
+        return drain(acc, self.qcfg)
 
 
-class _IEEEBackend(RoundingBackend):
+class _IEEEBackend(Backend):
     """The arithmetic and conversions shared by the IEEE formats.
 
     Values are Python floats that the format represents exactly.  Each
@@ -356,27 +352,6 @@ class RationalBackend(Backend):
 
     def neg(self, a):
         return None if a is None else -a
-
-    def accum_new(self):
-        return Fraction(0)
-
-    def accum_term(self, acc, factors):
-        if acc is None:
-            return None
-        p = Fraction(1)
-        for f in factors:
-            if f is None:
-                return None
-            p *= f
-        return acc + p
-
-    def accum_merge(self, a, b):
-        if a is None or b is None:
-            return None
-        return a + b
-
-    def accum_finish(self, acc):
-        return acc
 
     def from_fraction(self, x: Fraction):
         return Fraction(x)

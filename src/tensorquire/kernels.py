@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .arrays import DenseArray
 from .backends import Backend
@@ -130,7 +130,6 @@ def evaluate_normal_form(
     arrays: dict,
     backend: Backend,
     schedule: Schedule = SEQUENTIAL,
-    on_zero_div: str = "nar",
 ) -> DenseArray:
     """Interpret a normal form under a backend and schedule.
 
@@ -138,9 +137,8 @@ def evaluate_normal_form(
     Each Sum node owns one accumulator (rounded once on exit); factors
     of a term enter it unrounded.  Sum and Div values that do not
     depend on the loop variables in scope are computed once and reused,
-    so the operation count matches the direct kernel routes.  With
-    ``on_zero_div='raise'`` a zero divisor raises BreakdownError
-    instead of producing the backend's exception value.
+    so the operation count matches the direct kernel routes.  A zero
+    divisor gives the backend's exception value.
     """
     data = {}
     for name, ext in nf.operands:
@@ -182,8 +180,6 @@ def evaluate_normal_form(
                 return hit
             num = eval_scalar(node.num, env)
             den = eval_scalar(node.den, env)
-            if on_zero_div == "raise" and backend.is_zero(den):
-                raise BreakdownError("zero denominator in normal form")
             res = (backend.div(num, den),)
             memo[key] = res
             return res
@@ -280,38 +276,34 @@ def _check_options(variant: str, form: str) -> None:
         raise ValueError(f"unknown form {form!r}")
 
 
-def _breakdown(k: int) -> BreakdownError:
-    return BreakdownError(f"zero p.A.p denominator at iteration {k}", k)
-
-
-def _alpha(a: DenseArray, p, rr, backend: Backend, schedule: Schedule, k: int):
-    """w = A*p and alpha = (r.r)/(p.w); a zero p.w is breakdown at iteration k."""
-    w = run_matvec(a, p, backend, schedule).data
-    den = run_dot(p, w, backend, schedule)
-    if backend.is_zero(den):
-        raise _breakdown(k)
-    return w, backend.div(rr, den)
-
-
 def _axpy(y, d, alpha, backend: Backend) -> list:
     """y + d*alpha elementwise; every product and sum rounds."""
     return [backend.add(yi, backend.mul(di, alpha)) for yi, di in zip(y, d)]
 
 
-def _normal_x(nf: NormalForm, a, x, r, p, backend: Backend, schedule: Schedule, k: int):
-    """The x update by evaluating the CG normal form ``nf``.
+def _x_update(
+    nf, a: DenseArray, x, r, p, rr, variant: str, backend: Backend, schedule: Schedule, k: int
+):
+    """One CG x update at iteration k; returns (x', w, alpha).
 
-    X holds the old x followed by room for the new one.
+    w = A*p and alpha = (r.r)/(p.w); a zero p.w is breakdown.  With a
+    normal form ``nf`` the new x is its evaluation, whose X operand
+    holds the old x followed by room for the new one; otherwise it is
+    x + alpha*dir, with dir = w for the paper variant and p for the
+    standard one.  The normal form's p.A.p is the same reduction as
+    p.w, so the check here covers its divisor too.
     """
+    w = run_matvec(a, p, backend, schedule).data
+    den = run_dot(p, w, backend, schedule)
+    if backend.is_zero(den):
+        raise BreakdownError(f"zero p.A.p denominator at iteration {k}", k)
+    alpha = backend.div(rr, den)
+    if nf is None:
+        return _axpy(x, w if variant == "paper" else p, alpha, backend), w, alpha
     n = len(x)
     ext = tuple(x) + (backend.zero(),) * n
-    try:
-        out = evaluate_normal_form(
-            nf, {"X": ext, "P": p, "R": r, "A": a}, backend, schedule, on_zero_div="raise"
-        )
-    except BreakdownError:
-        raise _breakdown(k) from None
-    return out.data[n:]
+    out = evaluate_normal_form(nf, {"X": ext, "P": p, "R": r, "A": a}, backend, schedule)
+    return out.data[n:], w, alpha
 
 
 def cg_step(
@@ -331,13 +323,11 @@ def cg_step(
     cg_solve's job.
     """
     _check_options(variant, form)
-    if form == "normal":
-        nf = normalize(cg_expr(state.n))
-        x1 = _normal_x(nf, state.a, state.x.data, state.r, state.p, backend, schedule, state.k)
-    else:
-        rr = run_dot(state.r, state.r, backend, schedule)
-        w, alpha = _alpha(state.a, state.p.data, rr, backend, schedule, state.k)
-        x1 = _axpy(state.x.data, w if variant == "paper" else state.p.data, alpha, backend)
+    nf = normalize(cg_expr(state.n)) if form == "normal" else None
+    rr = run_dot(state.r, state.r, backend, schedule)
+    x1, _, _ = _x_update(
+        nf, state.a, state.x.data, state.r, state.p.data, rr, variant, backend, schedule, state.k
+    )
     return CGState(state.a, DenseArray((state.n,), x1), state.r, state.p, state.k + 1)
 
 
@@ -388,11 +378,7 @@ def cg_solve(
     for t in range(iters):
         if backend.is_zero(rr):
             break
-        w, alpha = _alpha(a, p, rr, backend, schedule, t)
-        if nf is not None:
-            x = _normal_x(nf, a, x, r, p, backend, schedule, t)
-        else:
-            x = _axpy(x, w if variant == "paper" else p, alpha, backend)
+        x, w, alpha = _x_update(nf, a, x, r, p, rr, variant, backend, schedule, t)
         r = [backend.sub(ri, backend.mul(wi, alpha)) for ri, wi in zip(r, w)]
         rr_new = run_dot(r, r, backend, schedule)
         beta = backend.div(rr_new, rr)

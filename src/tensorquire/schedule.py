@@ -80,6 +80,13 @@ def format_schedule(s: Schedule) -> str:
     return f"perm={perm};levels={levels};workers={s.workers}"
 
 
+def _field_int(key: str, tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"schedule field {key!r}: {tok!r} is not an integer") from None
+
+
 def parse_schedule(text: str, n: Optional[int] = None) -> Schedule:
     """Parse the spec string `perm=...;levels=...;workers=...`.
 
@@ -98,12 +105,12 @@ def parse_schedule(text: str, n: Optional[int] = None) -> Schedule:
         val = val.strip()
         if key == "perm":
             if val != "identity":
-                perm = tuple(int(t) for t in val.split(","))
+                perm = tuple(_field_int(key, t) for t in val.split(","))
         elif key == "levels":
             if val != "flat" and val:
-                levels = tuple(int(t) for t in val.split(","))
+                levels = tuple(_field_int(key, t) for t in val.split(","))
         elif key == "workers":
-            workers = int(val)
+            workers = _field_int(key, val)
         else:
             raise ValueError(f"unknown schedule field {key!r}")
     s = Schedule(perm, levels, workers)

@@ -7,6 +7,8 @@ error, 3 numerical breakdown.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from tensorquire.cli import main
@@ -258,6 +260,15 @@ class TestKernelCommand:
             assert code == 2, args
             assert err.strip()
 
+    def test_schedule_error_names_the_field(self, capsys, files):
+        a = files("x.arr", ONES_3)
+        code, out, err = run_cli(
+            capsys, "kernel", "dot", "--a", a, "--b", a, "--schedule", "workers=x"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: schedule field 'workers': 'x' is not an integer\n"
+
 
 class TestCensusCommand:
     def test_nan_binary16(self, capsys):
@@ -354,6 +365,17 @@ class TestPlanCommand:
         got = lines_of(out)
         first = next(ln for ln in out.splitlines() if ln.startswith("candidate="))
         assert first == f"candidate={got['blocks']}:{got['predicted_cost']}"
+
+    def test_search_over_budget_is_usage_error(self, capsys, files):
+        cm = files("cm.txt", SMALL_CM)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "plan", "--kernel", "matmul", "--n", "360", "--cost-model", cm
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and "budget" in err
 
     def test_bad_model_is_data_error(self, capsys, files):
         cm = files("cm.txt", "element=4\n")

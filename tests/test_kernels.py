@@ -234,12 +234,13 @@ class TestCGStep:
         assert via_text.x.data == cg_step(st, backend, "standard", form="direct").x.data
         assert cg_step(st, backend, "paper", form="direct").x.data == (Fraction(1), Fraction(0))
 
-    def test_breakdown_raises_with_iteration(self):
+    @pytest.mark.parametrize("form", ["direct", "normal"])
+    def test_breakdown_raises_with_iteration(self, form):
         backend = make_backend("rational")
         a = _mat(backend, [[0, 0], [0, 0]])
         st = initial_state(a, _vec(backend, [1, 1]), backend)
         with pytest.raises(BreakdownError) as err:
-            cg_step(st, backend)
+            cg_step(st, backend, form=form)
         assert err.value.iteration == 0
 
     def test_state_validation(self):
@@ -315,6 +316,23 @@ class TestCGSolve:
         pap = cg_solve(a, _vec(backend, b), 4, backend, variant="paper")
         assert std.x.data != pap.x.data
 
+    @pytest.mark.parametrize("form", ["direct", "normal"])
+    @pytest.mark.parametrize(
+        "rows, rhs, iteration",
+        [
+            ([[2, 0], [0, 0]], [1, 1], 1),
+            ([[0, 1, 0], [1, -1, -2], [0, -2, 0]], [2, -2, -2], 2),
+        ],
+    )
+    def test_breakdown_raises_with_iteration(self, rows, rhs, iteration, form):
+        # symmetric but not definite: a later p.A.p is exactly zero
+        # while the residual is not
+        backend = make_backend("rational")
+        a = _mat(backend, rows)
+        with pytest.raises(BreakdownError, match=f"iteration {iteration}$") as err:
+            cg_solve(a, _vec(backend, rhs), 4, backend, form=form)
+        assert err.value.iteration == iteration
+
     def test_schedule_invariance_quire(self):
         backend = make_backend("quire")
         a_rows, b = random_spd_system(random.Random(10), 4)
@@ -339,8 +357,6 @@ class TestNormalFormEvaluator:
         out = evaluate_normal_form(nf, arrays, backend)
         nar = backend.cfg.nar_pattern
         assert out.data[2] == nar and out.data[3] == nar
-        with pytest.raises(BreakdownError):
-            evaluate_normal_form(nf, arrays, backend, on_zero_div="raise")
 
     def test_missing_and_missized_operands(self):
         backend = make_backend("rational")

@@ -13,6 +13,7 @@ import itertools
 import pytest
 
 from oracles import trace_cost
+from tensorquire import planner
 from tensorquire.exprs import Leaf, SumReduce, kernel_expr, normalize
 from tensorquire.planner import (
     CostLevel,
@@ -247,3 +248,19 @@ class TestPlan:
         nf = _vector_sum(1 << 13)
         with pytest.raises(ValueError):
             search(nf, _cm([(16, 8, 1)]))
+
+    def test_refuses_search_over_the_work_budget(self, monkeypatch):
+        # matmul n=120: 16^3 tilings x one level x 2 * 120^2 address points
+        calls = []
+        monkeypatch.setattr(planner, "predict_cost", lambda *args: calls.append(args))
+        nf = normalize(kernel_expr("matmul", 120))
+        with pytest.raises(ValueError, match="needs 117964800 address points"):
+            search(nf, _cm([(16, 8, 1)]))
+        assert calls == []
+
+    def test_work_budget_admits_matmul64_on_three_levels(self, monkeypatch):
+        # 7^3 tilings x 3 levels x 2 * 64^2 points = 8.4M, under 1 << 24
+        monkeypatch.setattr(planner, "predict_cost", lambda nf, blocks, cm: 0)
+        nf = normalize(kernel_expr("matmul", 64))
+        table = search(nf, _cm([(16, 8, 1), (256, 16, 5), (4096, 64, 50)]))
+        assert len(table) == 7**3

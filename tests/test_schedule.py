@@ -49,6 +49,15 @@ def test_parse_rejects(bad):
         parse_schedule(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, field, token",
+    [("workers=x", "workers", "x"), ("levels=2,y", "levels", "y"), ("perm=0,z", "perm", "z")],
+)
+def test_parse_rejects_non_integers_by_field(bad, field, token):
+    with pytest.raises(ValueError, match=f"schedule field '{field}': '{token}' is not an integer"):
+        parse_schedule(bad)
+
+
 def test_parse_checks_perm_length():
     with pytest.raises(ValueError):
         parse_schedule("perm=1,0", 3)
@@ -111,3 +120,19 @@ def test_worker_split_covers_short_tail():
     terms = [(Fraction(i),) for i in range(5)]
     s = Schedule(None, (), 4)
     assert reduce_terms(backend, terms, s) == 10
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("pos", range(6))
+def test_reduce_terms_rational_nar_is_sticky(pos, slot):
+    # the rational backend's NaR is None, so the fold must not take a
+    # None accumulator for an empty one under any grouping
+    backend = make_backend("rational")
+    terms = [(Fraction(i + 1, 3), Fraction(5 - i, 2)) for i in range(6)]
+    bad = list(terms[pos])
+    bad[slot] = None
+    terms[pos] = tuple(bad)
+    schedules = [schedule_from_seed(seed, 6) for seed in range(40)]
+    schedules += [Schedule(None, (1,), w) for w in range(1, 7)]
+    for s in schedules:
+        assert reduce_terms(backend, terms, s) is None, s
