@@ -14,8 +14,9 @@ number:
   one miss per distinct line: the tile's lines are loaded once and
   then hit.  Otherwise every execution of the reference inside the
   instance is charged a miss, including re-reads under loops that do
-  not move the address.  Instances are enumerated individually, so
-  alignment effects are counted exactly, never extrapolated from the
+  not move the address.  Instances are grouped by the residue of their
+  base byte address modulo the line size, which fixes their line count,
+  so alignment effects are counted exactly, never extrapolated from the
   first tile.
 
 Only reads are charged: operand traffic is what layout choices move
@@ -28,12 +29,14 @@ the chosen plan is reproducible and provably minimal at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exprs import NormalForm, Ref, Sum, children, walk
+from .exprs import Affine, NormalForm, Ref, Sum, children, walk
 
 __all__ = [
     "CostLevel",
@@ -173,6 +176,36 @@ def _validate_tiles(occs: Sequence[Occurrence], tiles: Sequence[int]) -> None:
             raise ValueError(f"tile {b} does not divide extent {ext} of loop {var}")
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _line_profile(
+    index: Affine, loops: Tuple[Tuple[int, int, int], ...], esize: int, line: int
+) -> Tuple[Tuple[int, int], ...]:
+    """(instances, distinct lines) per occurring residue of the tile
+    instances' base byte address modulo ``line``.
+
+    ``loops`` holds (coef, extent, block) of each address-moving loop in
+    path order.  An instance's address is base + off, where base is the
+    index at the instance's first point and off ranges over one set
+    fixed by the blocks.  With base*esize = q*line + r, the line of
+    base + off is q + (r + off*esize) // line, so the line count depends
+    on r alone.  The residues' histogram is the product of per-loop
+    residue counts, combined mod ``line`` without visiting instances.
+    """
+    offsets = {0}
+    residues = Counter({sum(a[1] for a in index.atoms if a[0] == "c") * esize % line: 1})
+    for coef, ext, b in loops:
+        offsets = {off + coef * i for off in offsets for i in range(b)}
+        steps = Counter(coef * b * o * esize % line for o in range(ext // b))
+        combined = Counter()
+        for (r, n), (s, m) in itertools.product(residues.items(), steps.items()):
+            combined[(r + s) % line] += n * m
+        residues = combined
+    offset_bytes = {off * esize for off in offsets}
+    return tuple(
+        (n, len({(r + x) // line for x in offset_bytes})) for r, n in residues.items()
+    )
+
+
 def predict_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
     """Cost units spent on misses under the footprint model above.
 
@@ -180,39 +213,26 @@ def predict_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
     loop_occurrences order.
     """
     _validate_tiles(loop_occurrences(nf), tiles)
-    esize = cm.element_size
-
-    refs = ref_paths(nf)
     total = 0
-    for lv in cm.levels:
-        for ref, path in refs:
-            addr_vars = set(ref.index.free_vars())
-            used = [(var, ext, tiles[oid]) for oid, var, ext in path if var in addr_vars]
-            silent_instances = 1
-            reads_per_instance = 1
-            for oid, var, ext in path:
-                reads_per_instance *= tiles[oid]
-                if var not in addr_vars:
-                    silent_instances *= ext // tiles[oid]
-            # the line set depends only on the address-moving outer
-            # coordinates; loops that hold the address still multiply
-            # the instance count and the per-instance read count
+    for ref, path in ref_paths(nf):
+        coefs: Dict[str, int] = {}
+        for a in ref.index.atoms:
+            if a[0] == "t":
+                coefs[a[1]] = coefs.get(a[1], 0) + a[2]
+        # a variable's last occurrence on the path sets the address; every
+        # other loop holds it and only multiplies the instance count
+        setter = {var: oid for oid, var, _ in path if var in coefs}
+        loops = tuple(
+            (coefs[var], ext, tiles[oid]) for oid, var, ext in path if setter.get(var) == oid
+        )
+        silent_instances = math.prod(
+            ext // tiles[oid] for oid, var, ext in path if setter.get(var) != oid
+        )
+        reads_per_instance = math.prod(tiles[oid] for oid, _, _ in path)
+        for lv in cm.levels:
             charge = 0
-            outer_ranges = [range(ext // b) for _, ext, b in used]
-            inner_ranges = [range(b) for _, _, b in used]
-            for outer in itertools.product(*outer_ranges):
-                lines = set()
-                for inner in itertools.product(*inner_ranges):
-                    env = {
-                        var: o * b + i
-                        for (var, _, b), o, i in zip(used, outer, inner)
-                    }
-                    addr = ref.index.evaluate(env)
-                    lines.add(addr * esize // lv.line_size)
-                if len(lines) * lv.line_size <= lv.capacity:
-                    charge += len(lines)
-                else:
-                    charge += reads_per_instance
+            for n, lines in _line_profile(ref.index, loops, cm.element_size, lv.line_size):
+                charge += n * (lines if lines * lv.line_size <= lv.capacity else reads_per_instance)
             total += charge * silent_instances * lv.miss_cost
     return total
 
@@ -236,8 +256,10 @@ def _divisors(n: int) -> Tuple[int, ...]:
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
-# the most address points a search may visit: about 15 s at the 0.9 us
-# per point measured on a 2-CPU x86-64 host
+# the most address points a search may visit.  A line profile costs at
+# most its reference's points and a memo hit fewer, so the worst case
+# (every candidate a miss, lines wider than any tile) measured 80 ns per
+# point on a 2-CPU x86-64 host: about 1.4 s at the budget
 SEARCH_BUDGET = 1 << 24
 
 
@@ -245,10 +267,12 @@ def search(nf: NormalForm, cm: CostModel) -> List[Tuple[int, Tuple[int, ...]]]:
     """Exhaustive (cost, blocks) table over all divisor tilings,
     sorted by cost then block vector.
 
-    The work is known before any candidate is costed: predict_cost
-    visits, per level and read reference, every point of the loops that
-    move the reference's address, whatever the tiling.  A search whose
-    work exceeds SEARCH_BUDGET is rejected up front.
+    The work is bounded before any candidate is costed: per level and
+    read reference, predict_cost's line profile takes at most one step
+    per point of the loops that move the reference's address (at most
+    that many residues times offsets, and a residue convolution of at
+    most that size), whatever the tiling.  A search whose work exceeds
+    SEARCH_BUDGET is rejected up front.
     """
     occs = loop_occurrences(nf)
     for _, var, ext in occs:

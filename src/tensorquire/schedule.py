@@ -50,9 +50,15 @@ class Schedule:
         for b in self.levels:
             if b < 1:
                 raise ValueError("level block sizes must be >= 1")
-        if self.perm is not None:
-            if sorted(self.perm) != list(range(len(self.perm))):
-                raise ValueError("perm is not a permutation of 0..n-1")
+        if self.perm is not None and sorted(self.perm) != list(range(len(self.perm))):
+            # name the first entry that breaks the permutation
+            seen = set()
+            for i in self.perm:
+                if not 0 <= i < len(self.perm):
+                    raise ValueError(f"perm entry {i} is outside 0..{len(self.perm) - 1}")
+                if i in seen:
+                    raise ValueError(f"perm repeats {i}")
+                seen.add(i)
 
     def order(self, n: int) -> Sequence[int]:
         if self.perm is None:

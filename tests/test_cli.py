@@ -269,6 +269,15 @@ class TestKernelCommand:
         assert out == ""
         assert err == "error: schedule field 'workers': 'x' is not an integer\n"
 
+    def test_schedule_error_names_the_perm_entry(self, capsys, files):
+        a = files("x.arr", ONES_3)
+        code, out, err = run_cli(
+            capsys, "kernel", "dot", "--a", a, "--b", a, "--schedule", "perm=0,0,0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: perm repeats 0\n"
+
 
 class TestCensusCommand:
     def test_nan_binary16(self, capsys):

@@ -14,7 +14,17 @@ import pytest
 
 from oracles import trace_cost
 from tensorquire import planner
-from tensorquire.exprs import Leaf, SumReduce, kernel_expr, normalize
+from tensorquire.exprs import (
+    Affine,
+    Leaf,
+    Mul,
+    NormalForm,
+    Ref,
+    Sum,
+    SumReduce,
+    kernel_expr,
+    normalize,
+)
 from tensorquire.planner import (
     CostLevel,
     CostModel,
@@ -149,27 +159,83 @@ class TestPredictCost:
 
 
 class TestAgainstTraceSimulator:
+    # lines that are not a power of two, or narrower than an element,
+    # put each tile's base address on many different line residues
     MODELS = [
         [(0, 4, 1)],
+        [(16, 4, 1)],
         [(16, 8, 1)],
         [(32, 16, 1)],
         [(64, 8, 3)],
+        [(48, 12, 1)],
         [(16, 8, 1), (64, 16, 10)],
+        [(24, 12, 1), (96, 24, 4)],
     ]
 
-    @pytest.mark.parametrize("kind,n", [("dot", 6), ("matmul", 4), ("outer", 4), ("cg", 4)])
+    KERNELS = [("dot", 6), ("matmul", 4), ("outer", 4), ("cg", 4)]
+
+    @pytest.mark.parametrize("kind,n", KERNELS)
     def test_all_tilings_all_models(self, kind, n):
+        self._check_all_tilings(kind, n, 4)
+
+    @pytest.mark.parametrize("element", [1, 3, 8])
+    @pytest.mark.parametrize("kind,n", KERNELS)
+    def test_all_tilings_other_element_sizes(self, kind, n, element):
+        self._check_all_tilings(kind, n, element)
+
+    def _check_all_tilings(self, kind, n, element):
         nf = normalize(kernel_expr(kind, n))
         occs = loop_occurrences(nf)
         divs = {ext: [d for d in range(1, ext + 1) if ext % d == 0] for _, _, ext in occs}
         for levels in self.MODELS:
-            cm = _cm(levels)
+            cm = _cm(levels, element)
             for tiles in itertools.product(*(divs[ext] for _, _, ext in occs)):
                 assert predict_cost(nf, tiles, cm) == trace_cost(nf, tiles, cm), (
                     kind,
                     tiles,
                     levels,
+                    element,
                 )
+
+    def test_offsets_reversed_indices_and_shadowed_loops(self):
+        # kernels never index with a constant, a negative coefficient or
+        # a loop variable that an inner loop shadows; these forms do
+        def aff(*atoms):
+            return Affine(atoms)
+
+        # y[i] = sum_j A[5 - j + 6i] * x[j + 2]
+        a_index = aff(("c", 5), ("t", "j", -1), ("t", "i", 6))
+        x_index = aff(("t", "j", 1), ("c", 2))
+        shifted = NormalForm(
+            "y",
+            4,
+            aff(("t", "i", 1)),
+            (("i", 4),),
+            Sum((("j", 6),), Mul((Ref("A", a_index), Ref("x", x_index)))),
+            (("A", 24), ("x", 8)),
+        )
+        # y[i] = sum_i x[2i + 1]: the inner i sets the address
+        shadowed = NormalForm(
+            "y",
+            4,
+            aff(("t", "i", 1)),
+            (("i", 4),),
+            Sum((("i", 6),), Ref("x", aff(("t", "i", 2), ("c", 1)))),
+            (("x", 12),),
+        )
+        for nf in (shifted, shadowed):
+            occs = loop_occurrences(nf)
+            divs = [[d for d in range(1, ext + 1) if ext % d == 0] for _, _, ext in occs]
+            for element in (1, 3, 8):
+                for levels in ([(16, 4, 1)], [(48, 12, 1)], [(24, 12, 1), (96, 24, 4)]):
+                    cm = _cm(levels, element)
+                    for tiles in itertools.product(*divs):
+                        assert predict_cost(nf, tiles, cm) == trace_cost(nf, tiles, cm), (
+                            nf,
+                            tiles,
+                            levels,
+                            element,
+                        )
 
 
 class TestPlan:
@@ -243,6 +309,23 @@ class TestPlan:
         lp = plan(nf, cm)
         assert lp.blocks == (8, 8, 4)
         assert set(lp.lifts) == {("A", "k", 4), ("B", "k", 4)}
+
+    def test_search_costs_each_candidate_once(self, monkeypatch):
+        # perfbench's tracer and candidates_per_plan count these calls
+        calls = []
+
+        def counting(nf, blocks, cm):
+            calls.append(blocks)
+            return predict_cost(nf, blocks, cm)
+
+        monkeypatch.setattr(planner, "predict_cost", counting)
+        cm = _cm([(16, 8, 1), (64, 16, 10)])
+        nf = normalize(kernel_expr("matmul", 4))
+        table = search(nf, cm)
+        assert len(calls) == 27
+        assert sorted(calls) == sorted(itertools.product((1, 2, 4), repeat=3))
+        assert search(nf, cm) == table
+        assert len(calls) == 54
 
     def test_refuses_oversized_search_space(self):
         nf = _vector_sum(1 << 13)

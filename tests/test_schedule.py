@@ -58,6 +58,20 @@ def test_parse_rejects_non_integers_by_field(bad, field, token):
         parse_schedule(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("perm=0,0", "perm repeats 0"),
+        ("perm=0,2", "perm entry 2 is outside 0..1"),
+        ("perm=-1,0", "perm entry -1 is outside 0..1"),
+        ("perm=1,0,1", "perm repeats 1"),
+    ],
+)
+def test_parse_names_the_bad_perm_entry(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_schedule(bad)
+
+
 def test_parse_checks_perm_length():
     with pytest.raises(ValueError):
         parse_schedule("perm=1,0", 3)
