@@ -22,10 +22,10 @@ from pathlib import Path
 
 from .arrayio import ArrayFormatError, Report, load_values, parse_array
 from .arrays import DenseArray
-from .backends import BACKEND_NAMES, make_backend
+from .backends import BACKEND_NAMES, RationalBackend, make_backend
 from .exprs import kernel_expr, normalize, reuse_census
 from .kernels import BreakdownError, cg_solve, run_dot, run_matmul, run_matvec, run_outer
-from .planner import format_cost_model, loop_occurrences, parse_cost_model, plan
+from .planner import format_cost_model, parse_cost_model, plan
 from .posit import PositConfig, decode, encode_round, format_bits, parse_bits
 from .schedule import SEQUENTIAL, format_schedule, parse_schedule, schedule_from_seed
 
@@ -47,17 +47,6 @@ def _from_flags(make, *flags):
         return make(*flags)
     except ValueError as e:
         raise UsageError(str(e)) from None
-
-
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _float_str(x: Fraction) -> str:
-    try:
-        return repr(float(x))
-    except OverflowError:
-        return "inf" if x > 0 else "-inf"
 
 
 def _read_text(path: str) -> str:
@@ -107,6 +96,7 @@ def _add_schedule_lines(rep: Report, backend_name: str, sched, seed) -> None:
 
 def cmd_posit(args) -> Report:
     cfg = _from_flags(PositConfig, args.n, args.es)
+    exact = RationalBackend()  # prints a decoded value as float and fraction
     rep = Report()
     rep.add("command", f"posit {args.action}")
     rep.add("n", args.n)
@@ -121,8 +111,8 @@ def cmd_posit(args) -> Report:
         if d.kind == "nar":
             rep.add("value", "NaR")
         else:
-            rep.add("value", _float_str(d.value))
-            rep.add("fraction", _fraction_str(d.value))
+            rep.add("value", exact.format_value(d.value))
+            rep.add("fraction", exact.to_hex(d.value))
         return rep
     if args.value is None:
         raise UsageError("posit encode needs --value")
@@ -134,8 +124,8 @@ def cmd_posit(args) -> Report:
     d = decode(bits, cfg)
     rep.add("value", args.value)
     rep.add("bits", format_bits(bits, cfg))
-    rep.add("rounded", _float_str(d.value))
-    rep.add("fraction", _fraction_str(d.value))
+    rep.add("rounded", exact.format_value(d.value))
+    rep.add("fraction", exact.to_hex(d.value))
     rep.add("exact", "yes" if d.value == val else "no")
     return rep
 
@@ -259,8 +249,7 @@ def cmd_plan(args) -> Report:
     rep.add("kernel", args.kernel)
     rep.add("n", args.n)
     rep.add("cost_model", "; ".join(format_cost_model(cm).splitlines()))
-    occs = loop_occurrences(nf)
-    rep.add("loops", ",".join(f"{var}:{ext}" for _, var, ext in occs))
+    rep.add("loops", ",".join(f"{var}:{ext}" for var, ext, _ in result.tiles))
     rep.add("tiles", ",".join(f"{var}:{b}" for var, _, b in result.tiles))
     rep.add("blocks", ",".join(str(b) for b in result.blocks))
     lifts = ",".join(f"{arr}:{var}:{b}" for arr, var, b in result.lifts)

@@ -13,15 +13,18 @@ for example::
 
     C[i*2+j] = sum(k<2) A[i*2+k]*B[k*2+j]
 
-Passes over a normal-form body go through ``children``,
-``map_children`` and ``walk``, the one place that knows the node
-shapes; only the interpreter keeps its own per-node dispatch.
+Passes over a normal-form body go through ``children`` and
+``map_children``, the one place that knows the node shapes, and
+analyses that need the enclosing loops read ``scopes``, the one place
+that numbers loop occurrences; only the interpreter keeps its own
+per-node dispatch.
 Evaluation of normal forms lives in the kernels module; cost
 prediction over them lives in the planner.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple, Union
@@ -36,7 +39,7 @@ __all__ = [
     "NormalForm",
     "children",
     "map_children",
-    "walk",
+    "scopes",
     "Leaf",
     "Multiply",
     "SumReduce",
@@ -209,13 +212,6 @@ def map_children(node, f):
     return node
 
 
-def walk(node):
-    """Every node of the tree in preorder, children in print order."""
-    yield node
-    for c in children(node):
-        yield from walk(c)
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """output[out_index] = body, under the given element loops."""
@@ -233,12 +229,30 @@ class NormalForm:
     @property
     def reduction_depth(self) -> int:
         """Summation levels to a scalar: ceil(log2(extent)) per sum index."""
-        return _depth(self.body)
+        element = len(self.loops)
+        return max(
+            sum((ext - 1).bit_length() for _, _, ext in path[element:])
+            for _, path in scopes(self)
+        )
 
 
-def _depth(node) -> int:
-    own = sum((n - 1).bit_length() for _, n in node.indices) if isinstance(node, Sum) else 0
-    return own + max(map(_depth, children(node)), default=0)
+def scopes(nf: NormalForm):
+    """Every body node in preorder, children in print order, paired
+    with the (id, var, extent) loop occurrences enclosing it, outermost
+    first.  A Sum's indices enclose its body, not the Sum itself.  Ids
+    number the element loops first, then each Sum's indices as the walk
+    reaches them, so a name repeated in sibling scopes, as in the CG
+    form, gets one id per occurrence.
+    """
+    ids = itertools.count()
+    stack = [(nf.body, tuple((next(ids), var, ext) for var, ext in nf.loops))]
+    while stack:
+        node, path = stack.pop()
+        yield node, path
+        if isinstance(node, Sum):
+            path += tuple((next(ids), var, ext) for var, ext in node.indices)
+        for c in reversed(children(node)):
+            stack.append((c, path))
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +443,6 @@ class CensusRecord(NamedTuple):
     depth: int
 
 
-def _walk_counts(node, trip: int, counts: dict, mults: list) -> None:
-    """Accumulate read counts per array and multiplication trip counts.
-
-    ``trip`` is the number of times the enclosing loops execute this
-    node; each Sum multiplies it by its extents.
-    """
-    if isinstance(node, Ref):
-        counts[node.array] = counts.get(node.array, 0) + trip
-    elif isinstance(node, Sum):
-        trip *= math.prod(ext for _, ext in node.indices)
-    elif isinstance(node, Mul):
-        mults.append(trip * (len(node.factors) - 1))
-    for c in children(node):
-        _walk_counts(c, trip, counts, mults)
-
-
 def reuse_census(e, n: Optional[int] = None) -> CensusRecord:
     """How often each input element is read, and how much work results.
 
@@ -458,15 +456,18 @@ def reuse_census(e, n: Optional[int] = None) -> CensusRecord:
     if not isinstance(e, (Dot, MatMul, OuterProduct)):
         raise ValueError("census applies to dot, matmul, and outer kernels")
     nf = normalize(e)
-    counts: dict = {}
-    mults: list = []
-    _walk_counts(nf.body, math.prod(ext for _, ext in nf.loops), counts, mults)
-    total_reads = sum(counts.values())
-    total_elems = sum(ext for _, ext in nf.operands)
-    uses, rem = divmod(total_reads, total_elems)
+    reads = mults = 0
+    for node, path in scopes(nf):
+        # how many times the enclosing loops execute this node
+        trip = math.prod(ext for _, _, ext in path)
+        if isinstance(node, Ref):
+            reads += trip
+        elif isinstance(node, Mul):
+            mults += trip * (len(node.factors) - 1)
+    uses, rem = divmod(reads, sum(ext for _, ext in nf.operands))
     if rem:
         raise ValueError("non-uniform reuse; census undefined")
-    return CensusRecord(uses, sum(mults), nf.reduction_depth)
+    return CensusRecord(uses, mults, nf.reduction_depth)
 
 
 def _split_loops(loops, var: str, block: int) -> tuple:
@@ -501,8 +502,7 @@ def apply_tiling(nf: NormalForm, tiles: dict) -> NormalForm:
     """
     out = nf
     for var, block in tiles.items():
-        names = [v for v, _ in out.loops]
-        names += [v for node in walk(out.body) if isinstance(node, Sum) for v, _ in node.indices]
+        names = list({oid: v for _, path in scopes(out) for oid, v, _ in path}.values())
         if names.count(var) > 1:
             raise ValueError(f"variable {var} is not unique; cannot tile")
         if var not in names:

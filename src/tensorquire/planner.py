@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .exprs import Affine, NormalForm, Ref, Sum, children, walk
+from .exprs import Affine, NormalForm, Ref, scopes
 
 __all__ = [
     "CostLevel",
@@ -138,11 +138,10 @@ Occurrence = Tuple[int, str, int]  # (occurrence id, var name, extent)
 
 
 def loop_occurrences(nf: NormalForm) -> Tuple[Occurrence, ...]:
-    """All loop variables in nesting order.  Ids keep occurrences
-    distinct even when a name repeats in sibling scopes, as it does in
-    the CG form."""
-    sums = (idx for node in walk(nf.body) if isinstance(node, Sum) for idx in node.indices)
-    return tuple((k, var, ext) for k, (var, ext) in enumerate(itertools.chain(nf.loops, sums)))
+    """All loop occurrences in nesting order, numbered by ``scopes``.
+    Ids keep occurrences distinct even when a name repeats in sibling
+    scopes, as it does in the CG form."""
+    return tuple(dict.fromkeys(occ for _, path in scopes(nf) for occ in path))
 
 
 def ref_paths(nf: NormalForm) -> Tuple[Tuple[Ref, Tuple[Occurrence, ...]], ...]:
@@ -152,20 +151,32 @@ def ref_paths(nf: NormalForm) -> Tuple[Tuple[Ref, Tuple[Occurrence, ...]], ...]:
     The path is syntactic: a loop that never moves the reference's
     address still multiplies how often the reference executes.
     """
-    out: List[Tuple[Ref, Tuple[Occurrence, ...]]] = []
-    counter = itertools.count()
+    return tuple((node, path) for node, path in scopes(nf) if isinstance(node, Ref))
 
-    def visit(node, path: Tuple[Occurrence, ...]) -> None:
-        if isinstance(node, Ref):
-            out.append((node, path))
-            return
-        if isinstance(node, Sum):
-            path += tuple((next(counter), var, ext) for var, ext in node.indices)
-        for c in children(node):
-            visit(c, path)
 
-    visit(nf.body, tuple((next(counter), var, ext) for var, ext in nf.loops))
-    return tuple(out)
+@functools.lru_cache(maxsize=16)
+def _references(nf: NormalForm) -> Tuple[Tuple[Occurrence, ...], tuple]:
+    """The form's loop occurrences, and per read reference its
+    (array, index, moving, silent) analysis.  It depends on the form
+    alone, so one search computes it once, not once per candidate.
+
+    ``moving`` holds the (occurrence id, coef, extent) of each loop that
+    sets the reference's address, in path order; ``silent`` holds the
+    (occurrence id, extent) of every other loop on its path.  A
+    variable's last occurrence on the path sets the address; every
+    other loop holds it and only multiplies the instance count.
+    """
+    refs = []
+    for ref, path in ref_paths(nf):
+        coefs: Dict[str, int] = {}
+        for a in ref.index.atoms:
+            if a[0] == "t":
+                coefs[a[1]] = coefs.get(a[1], 0) + a[2]
+        setter = {var: oid for oid, var, _ in path if var in coefs}
+        moving = tuple((oid, coefs[var], ext) for oid, var, ext in path if setter.get(var) == oid)
+        silent = tuple((oid, ext) for oid, var, ext in path if setter.get(var) != oid)
+        refs.append((ref.array, ref.index, moving, silent))
+    return loop_occurrences(nf), tuple(refs)
 
 
 def _validate_tiles(occs: Sequence[Occurrence], tiles: Sequence[int]) -> None:
@@ -212,26 +223,18 @@ def predict_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
     ``tiles`` gives one block size per loop occurrence, in
     loop_occurrences order.
     """
-    _validate_tiles(loop_occurrences(nf), tiles)
+    occs, refs = _references(nf)
+    _validate_tiles(occs, tiles)
     total = 0
-    for ref, path in ref_paths(nf):
-        coefs: Dict[str, int] = {}
-        for a in ref.index.atoms:
-            if a[0] == "t":
-                coefs[a[1]] = coefs.get(a[1], 0) + a[2]
-        # a variable's last occurrence on the path sets the address; every
-        # other loop holds it and only multiplies the instance count
-        setter = {var: oid for oid, var, _ in path if var in coefs}
-        loops = tuple(
-            (coefs[var], ext, tiles[oid]) for oid, var, ext in path if setter.get(var) == oid
+    for _, index, moving, silent in refs:
+        loops = tuple((coef, ext, tiles[oid]) for oid, coef, ext in moving)
+        silent_instances = math.prod(ext // tiles[oid] for oid, ext in silent)
+        reads_per_instance = math.prod(b for _, _, b in loops) * math.prod(
+            tiles[oid] for oid, _ in silent
         )
-        silent_instances = math.prod(
-            ext // tiles[oid] for oid, var, ext in path if setter.get(var) != oid
-        )
-        reads_per_instance = math.prod(tiles[oid] for oid, _, _ in path)
         for lv in cm.levels:
             charge = 0
-            for n, lines in _line_profile(ref.index, loops, cm.element_size, lv.line_size):
+            for n, lines in _line_profile(index, loops, cm.element_size, lv.line_size):
                 charge += n * (lines if lines * lv.line_size <= lv.capacity else reads_per_instance)
             total += charge * silent_instances * lv.miss_cost
     return total
@@ -274,15 +277,12 @@ def search(nf: NormalForm, cm: CostModel) -> List[Tuple[int, Tuple[int, ...]]]:
     most that size), whatever the tiling.  A search whose work exceeds
     SEARCH_BUDGET is rejected up front.
     """
-    occs = loop_occurrences(nf)
+    occs, refs = _references(nf)
     for _, var, ext in occs:
         if ext > 1 << 12:
             raise ValueError(f"loop {var} extent {ext} too large for exhaustive search")
     divisors = [_divisors(ext) for _, _, ext in occs]
-    points = 0
-    for ref, path in ref_paths(nf):
-        addr_vars = set(ref.index.free_vars())
-        points += math.prod(ext for _, var, ext in path if var in addr_vars)
+    points = sum(math.prod(ext for _, _, ext in moving) for _, _, moving, _ in refs)
     work = math.prod(map(len, divisors)) * len(cm.levels) * points
     if work > SEARCH_BUDGET:
         raise ValueError(
@@ -297,17 +297,16 @@ def search(nf: NormalForm, cm: CostModel) -> List[Tuple[int, Tuple[int, ...]]]:
 
 def plan(nf: NormalForm, cm: CostModel) -> LayoutPlan:
     """Cheapest divisor tiling; ties go to the smallest block vector."""
-    occs = loop_occurrences(nf)
+    occs, refs = _references(nf)
     table = search(nf, cm)
     cost, blocks = table[0]
     tiles = tuple((var, ext, b) for (_, var, ext), b in zip(occs, blocks))
     lifts = []
     seen = set()
-    for ref, path in ref_paths(nf):
-        addr_vars = set(ref.index.free_vars())
-        for oid, var, ext in path:
+    for array, _, moving, _ in refs:
+        for oid, _, ext in moving:
             b = blocks[oid]
-            if var in addr_vars and 1 < b < ext and (ref.array, oid) not in seen:
-                seen.add((ref.array, oid))
-                lifts.append((ref.array, var, b))
+            if 1 < b < ext and (array, oid) not in seen:
+                seen.add((array, oid))
+                lifts.append((array, occs[oid][1], b))
     return LayoutPlan(tiles, tuple(lifts), cost, tuple(table))

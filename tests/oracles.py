@@ -18,7 +18,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from tensorquire.exprs import Add, Div, Mul, NormalForm, Ref, Sum
-from tensorquire.planner import CostModel, loop_occurrences
+from tensorquire.planner import CostModel
 from tensorquire.posit import PositConfig
 
 # ---------------------------------------------------------------------------
@@ -113,9 +113,10 @@ def ref_dot(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
 Anno = tuple
 
 
-def _annotate(nf: NormalForm) -> Tuple[Anno, List[int]]:
+def _annotate(nf: NormalForm) -> Tuple[Anno, List[int], int]:
     """Mirror the occurrence numbering positionally, then build an
-    executable tree carrying occurrence ids on each sum."""
+    executable tree carrying occurrence ids on each sum.  Also returns
+    the element loops' ids and the number of occurrences."""
     counter = [len(nf.loops)]
     refs = [0]
 
@@ -138,18 +139,18 @@ def _annotate(nf: NormalForm) -> Tuple[Anno, List[int]]:
             return ("many", (walk(node.num), walk(node.den)))
         raise TypeError(type(node).__name__)
 
-    return walk(nf.body), list(range(len(nf.loops)))
+    tree = walk(nf.body)  # numbers the sums, so before counter[0] is read
+    return tree, list(range(len(nf.loops))), counter[0]
 
 
 def trace_cost(nf: NormalForm, tiles: Sequence[int], cm: CostModel) -> int:
     """Replay every read access, bucket by tile instance of the
     reference's enclosing loops, then apply the fits/doesn't-fit rule
     per bucket.  Slow and literal on purpose."""
-    occs = loop_occurrences(nf)
-    if len(tiles) != len(occs):
+    tree, free_ids, count = _annotate(nf)
+    if len(tiles) != count:
         raise ValueError("tile vector length mismatch")
-    block = {oid: b for (oid, _, _), b in zip(occs, tiles)}
-    tree, free_ids = _annotate(nf)
+    block = dict(enumerate(tiles))
 
     records: Dict[int, Dict[tuple, List[int]]] = {}
 

@@ -20,11 +20,12 @@ from tensorquire.exprs import (
     Sum,
     SumReduce,
     apply_tiling,
+    children,
     kernel_expr,
     map_children,
     normalize,
     reuse_census,
-    walk,
+    scopes,
 )
 from tensorquire.kernels import evaluate_normal_form
 from tensorquire.planner import loop_occurrences
@@ -194,6 +195,10 @@ class TestTiling:
             apply_tiling(nf, {"z": 2})
 
 
+def _preorder(node) -> list:
+    return [node] + [d for c in children(node) for d in _preorder(c)]
+
+
 class TestWalker:
     def test_walk_order_and_identity_map_on_every_kernel(self):
         forms = []
@@ -203,13 +208,15 @@ class TestWalker:
             if kind != "cg":  # cg reuses the name j, so it cannot be tiled
                 forms.append(apply_tiling(nf, {var: 2 for _, var, _ in loop_occurrences(nf)}))
         for nf in forms:
-            for node in walk(nf.body):
+            nodes = [node for node, _ in scopes(nf)]
+            assert nodes == _preorder(nf.body), str(nf)
+            for node in nodes:
                 assert map_children(node, lambda c: c) == node
-            sums = [idx for node in walk(nf.body) if isinstance(node, Sum) for idx in node.indices]
+            sums = [idx for node in nodes if isinstance(node, Sum) for idx in node.indices]
             reductions = loop_occurrences(nf)[len(nf.loops) :]
             assert sums == [(var, ext) for _, var, ext in reductions], str(nf)
         # the cg form comes last: its numerator's j, then the denominator's i and j
-        cg_vars = [v for node in walk(forms[-1].body) if isinstance(node, Sum) for v, _ in node.indices]
+        cg_vars = [v for node, _ in scopes(forms[-1]) if isinstance(node, Sum) for v, _ in node.indices]
         assert cg_vars == ["j", "i", "j"]
 
 

@@ -24,6 +24,7 @@ from tensorquire.exprs import (
     SumReduce,
     kernel_expr,
     normalize,
+    scopes,
 )
 from tensorquire.planner import (
     CostLevel,
@@ -33,6 +34,7 @@ from tensorquire.planner import (
     parse_cost_model,
     plan,
     predict_cost,
+    ref_paths,
     search,
 )
 
@@ -45,6 +47,14 @@ def _cm(levels, element=4):
 
 def _vector_sum(n):
     return normalize(SumReduce((0,), Leaf("X", (n,))))
+
+
+def _shadowed():
+    """y[i] = sum_i x[2i + 1]: the inner i sets the address."""
+    index = Affine((("t", "i", 2), ("c", 1)))
+    return NormalForm(
+        "y", 4, Affine.var("i"), (("i", 4),), Sum((("i", 6),), Ref("x", index)), (("x", 12),)
+    )
 
 
 class TestCostModelTypes:
@@ -214,16 +224,7 @@ class TestAgainstTraceSimulator:
             Sum((("j", 6),), Mul((Ref("A", a_index), Ref("x", x_index)))),
             (("A", 24), ("x", 8)),
         )
-        # y[i] = sum_i x[2i + 1]: the inner i sets the address
-        shadowed = NormalForm(
-            "y",
-            4,
-            aff(("t", "i", 1)),
-            (("i", 4),),
-            Sum((("i", 6),), Ref("x", aff(("t", "i", 2), ("c", 1)))),
-            (("x", 12),),
-        )
-        for nf in (shifted, shadowed):
+        for nf in (shifted, _shadowed()):
             occs = loop_occurrences(nf)
             divs = [[d for d in range(1, ext + 1) if ext % d == 0] for _, _, ext in occs]
             for element in (1, 3, 8):
@@ -347,3 +348,60 @@ class TestPlan:
         nf = normalize(kernel_expr("matmul", 64))
         table = search(nf, _cm([(16, 8, 1), (256, 16, 5), (4096, 64, 50)]))
         assert len(table) == 7**3
+
+    def test_search_work_counts_only_address_setting_loops(self, monkeypatch):
+        # 3 x 4 tilings x one level x the inner i's 6 points; the outer i
+        # only repeats the reference, so it adds no address points
+        nf = _shadowed()
+        monkeypatch.setattr(planner, "SEARCH_BUDGET", 71)
+        with pytest.raises(ValueError, match="needs 72 address points"):
+            search(nf, _cm([(16, 8, 1)]))
+        monkeypatch.setattr(planner, "SEARCH_BUDGET", 72)
+        assert len(search(nf, _cm([(16, 8, 1)]))) == 12
+
+    def test_plan_analyses_references_once(self, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapped(nf):
+                calls.append(fn.__name__)
+                return fn(nf)
+
+            return wrapped
+
+        monkeypatch.setattr(planner, "ref_paths", counting(ref_paths))
+        monkeypatch.setattr(planner, "loop_occurrences", counting(loop_occurrences))
+        planner._references.cache_clear()
+        nf = normalize(kernel_expr("matmul", 8))
+        lp = plan(nf, _cm([(16, 8, 1)]))
+        assert len(lp.table) == 64
+        assert sorted(calls) == ["loop_occurrences", "ref_paths"]
+
+
+class TestLoopStructure:
+    # a name shadowed on one path, and a Sum with no read beneath it
+    FORMS = [
+        _shadowed(),
+        NormalForm(
+            "y", 4, Affine.var("i"), (("i", 4),), Sum((("j", 3), ("k", 2)), Mul(())), ()
+        ),
+    ]
+
+    @pytest.mark.parametrize("nf", FORMS, ids=["shadowed", "readless"])
+    def test_scopes_occurrences_and_ref_paths_agree(self, nf):
+        walked = list(scopes(nf))
+        occs = loop_occurrences(nf)
+        assert [oid for oid, _, _ in occs] == list(range(len(occs)))
+        assert set(occs) == {occ for _, path in walked for occ in path}
+        assert ref_paths(nf) == tuple((n, p) for n, p in walked if isinstance(n, Ref))
+        for _, path in walked:
+            assert path == tuple(occs[oid] for oid, _, _ in path)
+
+    def test_shadowed_and_readless_ids(self):
+        shadowed, readless = self.FORMS
+        assert loop_occurrences(shadowed) == ((0, "i", 4), (1, "i", 6))
+        assert [p for _, p in ref_paths(shadowed)] == [((0, "i", 4), (1, "i", 6))]
+        assert loop_occurrences(readless) == ((0, "i", 4), (1, "j", 3), (2, "k", 2))
+        assert ref_paths(readless) == ()
+        assert [p for _, p in scopes(readless)] == [((0, "i", 4),), loop_occurrences(readless)]
+        assert predict_cost(readless, (2, 3, 1), _cm([(0, 4, 1)])) == 0
