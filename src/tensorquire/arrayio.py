@@ -5,8 +5,16 @@ line naming how values are written, then whitespace-separated
 elements in row-major order.  Bit formats (posit32, posit16,
 binary32, binary64) use 0x-prefixed hex patterns of fixed width, so a
 file pins results down to the bit.  The decimal format takes exact
-rational tokens ("1.5", "-2/3") and pays one rounding when values
-enter a finite backend.
+rational tokens ("1.5", "-2/3", "1e-7") and pays one rounding when
+values enter a finite backend.
+
+A decimal exponent is read before the token's value is built, because
+the value of "1e999999999" is an integer of a billion digits.  Past
+``DECIMAL_EXPONENT_LIMIT`` a token that lies beyond a finite backend's
+range converts exactly as if it were read in full: posits saturate and
+IEEE formats give a signed infinity or zero.  The rational backend has
+no range, so it rejects such a token (a data error) rather than
+approximate it.
 
 A report is an ordered list of key=value lines.  Reports carry the
 reproducibility contract to disk: for fixed inputs and flags the
@@ -17,10 +25,11 @@ Numeric results print as a hex pattern plus a decimal rendering.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .posit import POSIT16, POSIT32, decode, parse_bits
 
@@ -28,7 +37,9 @@ __all__ = [
     "ArrayFormatError",
     "ArrayData",
     "ARRAY_FORMATS",
+    "DECIMAL_EXPONENT_LIMIT",
     "parse_array",
+    "parse_rational",
     "load_values",
     "exception_value",
     "Report",
@@ -92,6 +103,63 @@ def parse_array(text: str) -> ArrayData:
     return ArrayData(dims, fmt, tokens)
 
 
+# A decimal token is digits * 10**shift; past this |shift| its exact
+# value is not built.  10**10000 is above 2**33000, beyond every IEEE
+# format and every posit format with es <= 8.
+DECIMAL_EXPONENT_LIMIT = 10_000
+
+# the decimal literals ``Fraction`` accepts, with their parts named;
+# ``re`` compiles it on first use, so an import that reads no decimal
+# token does not pay for it
+_DECIMAL = (
+    r"\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<int>\d*|\d+(?:_\d+)*)"
+    r"(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?\s*"
+)
+
+
+def parse_rational(tok: str, range_scale: Optional[int] = None) -> Optional[Fraction]:
+    """The exact value of a decimal or fraction token, None if it is neither.
+
+    ``range_scale`` describes the backend the value is for (see
+    ``Backend.range_scale``): every magnitude at or above
+    ``2**range_scale`` converts like ``2**range_scale`` and every nonzero
+    one at or below its reciprocal like the reciprocal.  A token whose
+    decimal shift is past ``DECIMAL_EXPONENT_LIMIT`` and whose magnitude
+    lies beyond that range reads as the signed bound; any other such
+    token raises ArrayFormatError, since its exact value is too large
+    to build.
+    """
+    m = re.fullmatch(_DECIMAL, tok)
+    if m is not None and m["exp"] is not None:
+        frac = (m["frac"] or "").replace("_", "")
+        digits = (m["int"].replace("_", "") + frac).lstrip("0")
+        exp = m["exp"].replace("_", "")
+        if not digits:
+            return Fraction(0)
+        if len(exp.lstrip("+-").lstrip("0")) > 30:
+            # past any token's length, so it only needs its sign kept
+            exp = "-1" + "0" * 30 if exp[0] == "-" else "1" + "0" * 30
+        shift = int(exp) - len(frac)
+        if abs(shift) > DECIMAL_EXPONENT_LIMIT:
+            # the magnitude lies in [10**lo, 10**(lo + 1)), and for
+            # lo >= 0 (or lo + 1 <= 0) 10**lo >= 2**(3*lo) (or <=)
+            lo = len(digits) - 1 + shift
+            sign = -1 if m["sign"] == "-" else 1
+            if range_scale is not None and range_scale <= 3 * DECIMAL_EXPONENT_LIMIT:
+                if 3 * lo >= range_scale:
+                    return Fraction(sign << range_scale)
+                if 3 * (lo + 1) <= -range_scale:
+                    return Fraction(sign, 1 << range_scale)
+            raise ArrayFormatError(
+                f"decimal token {tok!r}: exponent past the limit of "
+                f"{DECIMAL_EXPONENT_LIMIT} and not beyond the backend's range"
+            )
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def exception_value(backend):
     """The backend's non-value: NaR for posits, NaN for binary floats,
     the undefined marker for rationals.  0/0 lands there in each."""
@@ -147,10 +215,9 @@ def load_values(data: ArrayData, backend) -> List[object]:
         if tok in ("NaR", "nan", "NaN"):
             out.append(exception_value(backend))
             continue
-        try:
-            val = Fraction(tok)
-        except (ValueError, ZeroDivisionError):
-            raise ArrayFormatError(f"bad decimal token {tok!r}") from None
+        val = parse_rational(tok, backend.range_scale)
+        if val is None:
+            raise ArrayFormatError(f"bad decimal token {tok!r}")
         out.append(backend.from_fraction(val))
     return out
 

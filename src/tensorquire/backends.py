@@ -14,7 +14,12 @@ rounds, which is what the rounding-census properties measure:
 
 Backend's own reduction is a fold of the backend's scalar ops, which
 the naive, IEEE and rational backends use as is; the quire backend is
-the one override.  Both IEEE formats hold Python floats and share one
+the one override.  Kernels pass each operand vector through
+``prepare`` once before they build terms: the identity on every
+backend but the quire, whose ``prepare`` decodes each pattern once
+into a ``(signed significand, scale)`` pair (None for NaR), so that
+``accum_term`` folds a two-factor term as one integer product and
+shift.  Both IEEE formats hold Python floats and share one
 arithmetic: an op computes in binary64 and rounds once to the target
 format, which for binary32 is the correctly rounded result because
 53 >= 2*24 + 2.
@@ -32,8 +37,8 @@ import struct
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .posit import PositConfig, arith, decode, encode_round, format_bits, to_float
-from .quire import QuireConfig, add_units, drain, product_units
+from .posit import PositConfig, arith, decode, encode_round, format_bits, round_scaled, to_float
+from .quire import QuireConfig, add_units, drain, operand, prepare, term_units
 
 __all__ = [
     "Backend",
@@ -57,6 +62,11 @@ class Backend:
     implement the arithmetic."""
 
     name: str = "abstract"
+    # A power of two past the backend's finite range: every magnitude at
+    # or above 2**range_scale converts like 2**range_scale, and every
+    # nonzero one at or below 2**-range_scale like 2**-range_scale.
+    # None for a backend without a range.
+    range_scale: Optional[int] = None
 
     def __init__(self) -> None:
         self.roundings = 0
@@ -88,6 +98,12 @@ class Backend:
     # running sum, so every step rounds once where the backend rounds.
     # The empty reduction finishes as ``zero()`` and a term with no
     # factors counts as ``one()``.
+
+    def prepare(self, values):
+        """Operand values as accum_term reads them fastest; a kernel
+        calls this once per operand vector.  accum_term also takes
+        values as they are.  The default is the identity."""
+        return values
 
     def accum_new(self):
         return _EMPTY
@@ -148,6 +164,7 @@ class PositNaiveBackend(Backend):
     def __init__(self, cfg: PositConfig) -> None:
         super().__init__()
         self.cfg = cfg
+        self.range_scale = cfg.max_scale + 1  # saturates at maxpos / minpos
         self.name = f"posit-naive({cfg.nbits},{cfg.es})"
 
     def mul(self, a, b):
@@ -199,15 +216,21 @@ class PositNaiveBackend(Backend):
 class QuireBackend(PositNaiveBackend):
     """The same posit scalars with exact quire reductions.
 
-    The accumulator is the quire's exact integer sum, or None after a
-    NaR operand; only accum_finish rounds.
+    ``prepare`` decodes each pattern once into a quire operand, a
+    ``(signed significand, scale)`` pair or None for NaR, and
+    ``accum_term`` folds a pair of operands into the exact integer sum
+    by the quire's product rule; a pattern handed to it as it is gets
+    prepared first.  The accumulator is None after a NaR operand; only
+    accum_finish rounds.
     """
 
     def __init__(self, cfg: PositConfig) -> None:
         super().__init__(cfg)
         self.qcfg = QuireConfig(cfg)
-        self._one = 1 << (cfg.nbits - 2)
         self.name = f"posit-quire({cfg.nbits},{cfg.es})"
+
+    def prepare(self, values):
+        return prepare(values, self.cfg)
 
     def accum_new(self):
         return 0
@@ -215,16 +238,30 @@ class QuireBackend(PositNaiveBackend):
     def accum_term(self, acc, factors):
         if acc is None:
             return None
+        a, b = factors if len(factors) == 2 else self._fused_pair(factors)
+        if a.__class__ is int:
+            a = operand(a, self.cfg)
+        if b.__class__ is int:
+            b = operand(b, self.cfg)
+        return add_units(acc, term_units(a, b, self.qcfg.lsb_scale))
+
+    def _fused_pair(self, factors):
+        """The two operands a term of other than two factors feeds the
+        quire: a lone p is p*1, the empty term 1*1, and the factors
+        before the last fold into the first by rounded multiplies."""
         if len(factors) < 2:
-            # a lone posit p is p*1, the empty term 1*1
-            head, last = self._one, (factors[0] if factors else self._one)
-        else:
-            # fold the extra factors with rounded multiplies, keep the
-            # last pair fused
-            head, last = factors[0], factors[-1]
-            for f in factors[1:-1]:
-                head = self.mul(head, f)
-        return add_units(acc, product_units(head, last, self.qcfg))
+            return _ONE, (factors[0] if factors else _ONE)
+        cfg = self.cfg
+        head = [operand(f, cfg) if f.__class__ is int else f for f in factors[:-1]]
+        a = head[0]
+        for f in head[1:]:
+            # one rounded multiply, as PositNaiveBackend.mul
+            self.roundings += 1
+            if a is None or f is None:
+                a = None
+            else:
+                a = operand(round_scaled(a[0] * f[0], a[1] + f[1], cfg), cfg)
+        return a, factors[-1]
 
     def accum_merge(self, a, b):
         return add_units(a, b)
@@ -232,6 +269,10 @@ class QuireBackend(PositNaiveBackend):
     def accum_finish(self, acc):
         self.roundings += 1
         return drain(acc, self.qcfg)
+
+
+# the operand 1 = 1 * 2**0
+_ONE = (1, 0)
 
 
 class _IEEEBackend(Backend):
@@ -249,6 +290,8 @@ class _IEEEBackend(Backend):
 
     struct_code: str
     from_float: Callable[[float], float]
+    # 2**1100 rounds to inf and 2**-1100 to zero in binary64 and binary32
+    range_scale = 1100
 
     def _round(self, v: float) -> float:
         self.roundings += 1

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .arrayio import ArrayFormatError, Report, load_values, parse_array
+from .arrayio import ArrayFormatError, Report, load_values, parse_array, parse_rational
 from .arrays import DenseArray
-from .backends import BACKEND_NAMES, RationalBackend, make_backend
+from .backends import BACKEND_NAMES, PositNaiveBackend, RationalBackend, make_backend
 from .exprs import kernel_expr, normalize, reuse_census
 from .kernels import BreakdownError, cg_solve, run_dot, run_matmul, run_matvec, run_outer
 from .planner import format_cost_model, parse_cost_model, plan
@@ -116,10 +115,9 @@ def cmd_posit(args) -> Report:
         return rep
     if args.value is None:
         raise UsageError("posit encode needs --value")
-    try:
-        val = Fraction(args.value)
-    except (ValueError, ZeroDivisionError):
-        raise ArrayFormatError(f"bad value {args.value!r}") from None
+    val = parse_rational(args.value, PositNaiveBackend(cfg).range_scale)
+    if val is None:
+        raise ArrayFormatError(f"bad value {args.value!r}")
     bits = encode_round(val, cfg)
     d = decode(bits, cfg)
     rep.add("value", args.value)

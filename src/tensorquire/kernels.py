@@ -70,7 +70,7 @@ def run_dot(x, y, backend: Backend, schedule: Schedule = SEQUENTIAL):
     ys = _vector(y, "dot operand")
     if len(xs) != len(ys):
         raise ValueError(f"dot length mismatch: {len(xs)} vs {len(ys)}")
-    return reduce_terms(backend, list(zip(xs, ys)), schedule)
+    return reduce_terms(backend, list(zip(backend.prepare(xs), backend.prepare(ys))), schedule)
 
 
 def run_matvec(a, x, backend: Backend, schedule: Schedule = SEQUENTIAL) -> DenseArray:
@@ -78,6 +78,8 @@ def run_matvec(a, x, backend: Backend, schedule: Schedule = SEQUENTIAL) -> Dense
     xs = _vector(x, "matvec operand")
     if len(xs) != n:
         raise ValueError(f"matvec shape mismatch: {m}x{n} vs {len(xs)}")
+    data = backend.prepare(data)
+    xs = backend.prepare(xs)
     out = []
     for i in range(m):
         row = data[i * n : (i + 1) * n]
@@ -90,11 +92,14 @@ def run_matmul(a, b, backend: Backend, schedule: Schedule = SEQUENTIAL) -> Dense
     db, (n2, p) = _matrix(b, "matmul operand")
     if n != n2:
         raise ValueError(f"matmul inner dims disagree: {n} vs {n2}")
+    # each operand is prepared once, not once per term that reads it
+    da = backend.prepare(da)
+    db = backend.prepare(db)
+    cols = [db[j::p] for j in range(p)]
     out = []
     for i in range(m):
         row = da[i * n : (i + 1) * n]
-        for j in range(p):
-            col = db[j::p]
+        for col in cols:
             out.append(reduce_terms(backend, list(zip(row, col)), schedule))
     return DenseArray((m, p), out)
 
@@ -217,7 +222,7 @@ def evaluate_normal_form(
             fs: list = []
             for part in varying:
                 fs.extend(eval_factors(part, env2))
-            terms.append(tuple(fs))
+            terms.append(tuple(backend.prepare(fs)))
         s = reduce_terms(backend, terms, schedule)
         res = (*inv_vals, s)
         memo[key] = res

@@ -76,35 +76,25 @@ class PositConfig:
             raise ValueError(f"nbits must be in 3..64, got {self.nbits}")
         if not 0 <= self.es <= self.nbits - 3:
             raise ValueError(f"es must be in 0..{self.nbits - 3}, got {self.es}")
+        # The format constants are plain attributes, not properties, and
+        # the hash is computed once: the codec reads them on every call
+        # and the decode memo hashes the config on every lookup.
+        n = self.nbits
+        max_scale = (n - 2) << self.es  # power-of-two exponent of maxpos
+        for name, value in (
+            ("mask", (1 << n) - 1),
+            ("nar_pattern", 1 << (n - 1)),
+            ("maxpos_pattern", (1 << (n - 1)) - 1),
+            ("minpos_pattern", 1),
+            ("max_scale", max_scale),
+            ("min_scale", -max_scale),
+            ("hex_digits", (n + 3) // 4),
+            ("_hash", hash((n, self.es))),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.nbits) - 1
-
-    @property
-    def nar_pattern(self) -> int:
-        return 1 << (self.nbits - 1)
-
-    @property
-    def maxpos_pattern(self) -> int:
-        return (1 << (self.nbits - 1)) - 1
-
-    @property
-    def minpos_pattern(self) -> int:
-        return 1
-
-    @property
-    def max_scale(self) -> int:
-        """Power-of-two exponent of maxpos: (nbits-2) * 2**es."""
-        return (self.nbits - 2) << self.es
-
-    @property
-    def min_scale(self) -> int:
-        return -self.max_scale
-
-    @property
-    def hex_digits(self) -> int:
-        return (self.nbits + 3) // 4
+    def __hash__(self) -> int:
+        return self._hash
 
 
 POSIT8 = PositConfig(8)
@@ -147,11 +137,15 @@ def decode(bits: int, cfg: PositConfig) -> DecodedReal:
     """Decode a bit pattern to its exact value (every pattern decodes).
 
     An LRU memo of 8,192 entries keeps a stream of distinct patterns from
-    growing the process.  It is the smallest power of two that holds each
-    benchmark workload's reuse set: a dot pair of 3,000 posit32 terms
-    reads its 6,000 patterns 4 times, all hits after the first, and n=16
-    matmuls under all five backends keep 95% of an unbounded memo's hits.
-    A larger memo costs memory and gains few hits.
+    growing the process.  Kernels decode each operand once per call, so
+    what the memo serves is reuse across calls and the rounded scalar
+    ops.  8,192 is the smallest power of two that holds each benchmark
+    workload's reuse set: a dot pair of 3,000 posit32 terms is read by
+    ``exact_dot`` and then by three ``run_dot`` calls, so its 6,000
+    patterns hit on 3 reads of 4 (4,096 entries keep 34%, not 75%).
+    On n=16 matmuls under all five backends, mostly the naive backend's
+    rounded products and partial sums, it keeps 93% of an unbounded
+    memo's hits; 16,384 entries would keep them all, at twice the size.
     """
     n = cfg.nbits
     if bits >> n:

@@ -24,11 +24,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .posit import NAR, PositConfig, decode, round_scaled, scaled_fraction
 
-__all__ = ["QuireConfig", "Quire", "exact_dot", "product_units", "add_units", "drain"]
+__all__ = [
+    "QuireConfig",
+    "Quire",
+    "Operand",
+    "exact_dot",
+    "operand",
+    "prepare",
+    "term_units",
+    "product_units",
+    "add_units",
+    "drain",
+]
+
+# a prepared posit operand: (signed significand, scale), None for NaR
+Operand = Optional[Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -41,44 +56,58 @@ class QuireConfig:
     def __post_init__(self) -> None:
         if self.carry_bits < 30:
             raise ValueError("carry_bits must be at least 30")
+        # plain attributes and a hash computed once, as for PositConfig:
+        # every product reads lsb_scale and every drain the carry bounds
+        nbits, es = self.posit.nbits, self.posit.es
+        total_width = ((nbits - 2) << (es + 2)) + 1 + self.carry_bits
+        for name, value in (
+            ("lsb_scale", -((nbits - 2) << (es + 1))),  # minpos squared
+            ("total_width", total_width),
+            ("max_int", (1 << (total_width - 1)) - 1),
+            ("min_int", -(1 << (total_width - 1))),
+            ("hex_digits", (total_width + 3) // 4),
+            ("_hash", hash((self.posit, self.carry_bits))),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def lsb_scale(self) -> int:
-        """Power-of-two weight of the accumulator LSB (minpos squared)."""
-        return -((self.posit.nbits - 2) << (self.posit.es + 1))
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def total_width(self) -> int:
-        return ((self.posit.nbits - 2) << (self.posit.es + 2)) + 1 + self.carry_bits
 
-    @property
-    def max_int(self) -> int:
-        return (1 << (self.total_width - 1)) - 1
+def operand(bits: int, cfg: PositConfig) -> Operand:
+    """A pattern as the product rule reads it: its exact value as a
+    ``(signed significand, scale)`` pair, or None for NaR."""
+    d = decode(bits, cfg)
+    return None if d.kind == NAR else (d.sign * d.significand, d.scale)
 
-    @property
-    def min_int(self) -> int:
-        return -(1 << (self.total_width - 1))
 
-    @property
-    def hex_digits(self) -> int:
-        return (self.total_width + 3) // 4
+def prepare(values: Iterable[int], cfg: PositConfig) -> List[Operand]:
+    """Decode each pattern once into its operand.
+
+    A kernel prepares each operand vector once, so a matmul decodes
+    2n^2 patterns rather than one pair per term.
+    """
+    return [operand(bits, cfg) for bits in values]
+
+
+def term_units(a: Operand, b: Operand, lsb_scale: int) -> Optional[int]:
+    """The product rule: the exact product of two prepared operands in
+    units of ``2**lsb_scale``, None for NaR.
+
+    The shift is never negative for the quire's ``lsb_scale``: the
+    smallest odd-significand scale any finite posit can have is the
+    minpos scale, and zero (significand 0, scale 0) sits above it, so a
+    product's lowest set bit is at or above minpos squared.
+    """
+    if a is None or b is None:
+        return None
+    return (a[0] * b[0]) << (a[1] + b[1] - lsb_scale)
 
 
 def product_units(a_bits: int, b_bits: int, qcfg: QuireConfig) -> Optional[int]:
-    """Exact product of two posits in accumulator units, None for NaR.
-
-    The shift below is never negative: the smallest odd-significand
-    scale any finite posit can have is the minpos scale, and zero
-    (significand 0, scale 0) sits above it, so a product's lowest set
-    bit is at or above minpos squared.
-    """
+    """Exact product of two posit patterns in accumulator units, None for NaR."""
     pcfg = qcfg.posit
-    da = decode(a_bits, pcfg)
-    db = decode(b_bits, pcfg)
-    if da.kind == NAR or db.kind == NAR:
-        return None
-    shift = da.scale + db.scale - qcfg.lsb_scale
-    return (da.sign * db.sign) * (da.significand * db.significand) << shift
+    return term_units(operand(a_bits, pcfg), operand(b_bits, pcfg), qcfg.lsb_scale)
 
 
 def add_units(acc: Optional[int], units: Optional[int]) -> Optional[int]:
@@ -180,7 +209,8 @@ def exact_dot(xs: Sequence[int], ys: Sequence[int], cfg) -> int:
         cfg = QuireConfig(cfg)
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    acc = 0
-    for a, b in zip(xs, ys):
-        acc = add_units(acc, product_units(a, b, cfg))
-    return drain(acc, cfg)
+    px, py = prepare(xs, cfg.posit), prepare(ys, cfg.posit)
+    # a NaR operand absorbs, so the sum runs only over finite operands
+    if None in px or None in py:
+        return drain(None, cfg)
+    return drain(sum(map(term_units, px, py, repeat(cfg.lsb_scale))), cfg)

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from tensorquire.exprs import Add, Div, Mul, NormalForm, Ref, Sum
 from tensorquire.planner import CostModel
@@ -80,6 +80,50 @@ def ref_encode(x: Fraction, nbits: int, es: int) -> int:
     if x > mid:
         return lo_pat + 1
     return lo_pat if lo_pat % 2 == 0 else lo_pat + 1
+
+
+class _Format(NamedTuple):
+    """A width and es without PositConfig's 64-bit cap; ref_decode
+    reads only these two fields."""
+
+    nbits: int
+    es: int
+
+
+def ref_round(x: Optional[Fraction], cfg: PositConfig) -> int:
+    """Nearest pattern to an exact rational at any width, NaR for None.
+
+    Bisects the ordered positive patterns with ref_decode; ties go to
+    the even pattern via the lattice one bit wider, as in ref_encode.
+    """
+    n = cfg.nbits
+    nar = 1 << (n - 1)
+    if x is None:
+        return nar
+    if x == 0:
+        return 0
+    if x < 0:
+        return (-ref_round(-x, cfg)) & ((1 << n) - 1)
+    lo, hi = 1, nar - 1
+    if x >= ref_decode(hi, cfg):
+        return hi
+    if x <= ref_decode(lo, cfg):
+        return lo  # saturate, never to zero
+    while hi - lo > 1:  # value(lo) < x < value(hi)
+        mid = (lo + hi) // 2
+        v = ref_decode(mid, cfg)
+        if v == x:
+            return mid
+        if v < x:
+            lo = mid
+        else:
+            hi = mid
+    half = ref_decode((lo << 1) | 1, _Format(n + 1, cfg.es))
+    if x < half:
+        return lo
+    if x > half:
+        return hi
+    return lo if lo % 2 == 0 else hi
 
 
 def ref_arith(op: str, a: int, b: int, nbits: int, es: int) -> int:

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from tensorquire.arrayio import (
+    DECIMAL_EXPONENT_LIMIT,
     ArrayData,
     ArrayFormatError,
     Report,
     load_values,
     parse_array,
+    parse_rational,
 )
 from tensorquire.backends import make_backend
 from tensorquire.posit import POSIT16, POSIT32, encode_round, format_bits
@@ -123,6 +125,41 @@ def test_decimal_bad_token():
     data = parse_array("shape 1\nformat decimal\nbogus\n")
     with pytest.raises(ArrayFormatError):
         load_values(data, make_backend("rational"))
+
+
+def test_parse_rational_reads_what_fraction_reads():
+    for tok in ("1", "-2.5", "1/3", "+.5", "5.", "1_000e2", "1E3", " 1.5 "):
+        assert parse_rational(tok) == Fraction(tok)
+    assert parse_rational("-0e99999999999") == 0
+    for tok in ("bogus", "1/0", "1e", ".e1", "0x10", "1.5/2"):
+        assert parse_rational(tok) is None
+
+
+def test_parse_rational_exponent_bound():
+    limit = DECIMAL_EXPONENT_LIMIT
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f"0.01e{limit + 2}") == 10**limit
+    with pytest.raises(ArrayFormatError):
+        parse_rational(f"1e{limit + 1}")
+    with pytest.raises(ArrayFormatError):
+        parse_rational(f"1e-{limit + 1}")
+    with pytest.raises(ArrayFormatError):
+        parse_rational("1e" + "9" * 5000)
+    # past the bound, a token beyond a backend's range reads as the bound
+    assert parse_rational(f"-7e{limit + 1}", 121) == -(2**121)
+    assert parse_rational("3e-" + "9" * 5000, 121) == Fraction(1, 2**121)
+
+
+@pytest.mark.parametrize("name", ["quire", "naive", "binary32", "binary64"])
+def test_decimal_past_the_bound_converts_as_in_full(name):
+    # tokens just past the bound are still cheap to read in full
+    backend = make_backend(name)
+    limit = DECIMAL_EXPONENT_LIMIT
+    toks = [f"1e{limit + 1}", f"-3e-{limit + 50}", f"-7.5e{limit + 3}", f"25e-{limit + 1}"]
+    data = parse_array(f"shape 4\nformat decimal\n{' '.join(toks)}\n")
+    got = load_values(data, backend)
+    want = [backend.from_fraction(Fraction(t)) for t in toks]
+    assert [backend.to_hex(v) for v in got] == [backend.to_hex(v) for v in want]
 
 
 def test_report_rendering():

@@ -75,6 +75,25 @@ class TestPositCommand:
         assert got["exact"] == "no"
         assert got["fraction"] != "1/3"
 
+    @pytest.mark.parametrize(
+        "value, bits",
+        [
+            ("1e999999999", "0x7fffffff"),
+            ("-1e999999999", "0x80000001"),
+            ("1e-999999999", "0x00000001"),
+            ("-25e-999999999", "0xffffffff"),
+            ("0e999999999", "0x00000000"),
+        ],
+    )
+    def test_huge_decimal_exponent_saturates_in_bounded_time(self, capsys, value, bits):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "posit", "encode", f"--value={value}")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        got = lines_of(out)
+        assert got["bits"] == bits
+        assert got["exact"] == ("yes" if value.startswith("0") else "no")
+
     def test_malformed_bits_is_data_error(self, capsys):
         for bad in ("0xzz000000", "0x40", "40000000"):
             code, _, err = run_cli(capsys, "posit", "decode", "--bits", bad)
@@ -133,6 +152,31 @@ class TestKernelCommand:
             )
             assert code == 0
             assert lines_of(out)["result"] == result
+
+    def test_huge_decimal_exponent_tokens_in_bounded_time(self, capsys, files):
+        a = files("x.arr", "shape 3\nformat decimal\n1e999999999 -1e-999999999 1\n")
+        b = files("y.arr", ONES_3)
+        for backend, result in (
+            ("quire", "0x7fffffff 1.329227995784916e+36"),
+            ("naive", "0x7fffffff 1.329227995784916e+36"),
+            ("binary64", "0x7ff0000000000000 inf"),
+            ("binary32", "0x7f800000 inf"),
+        ):
+            start = time.perf_counter()
+            code, out, _ = run_cli(
+                capsys, "kernel", "dot", "--a", a, "--b", b, "--backend", backend
+            )
+            assert time.perf_counter() - start < 2
+            assert code == 0
+            assert lines_of(out)["result"] == result
+        # the rational backend has no range to saturate at: a data error
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "kernel", "dot", "--a", a, "--b", b, "--backend", "rational"
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert "exponent past the limit" in err
 
     def test_quire_reports_identical_across_seeds(self, capsys, files):
         a = files("x.arr", CANCEL_X)
