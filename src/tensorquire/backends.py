@@ -17,12 +17,12 @@ the naive, IEEE and rational backends use as is; the quire backend is
 the one override.  Kernels pass each operand vector through
 ``prepare`` once before they build terms: the identity on every
 backend but the quire, whose ``prepare`` decodes each pattern once
-into a ``(signed significand, scale)`` pair (None for NaR), so that
-``accum_term`` folds a two-factor term as one integer product and
-shift.  Both IEEE formats hold Python floats and share one
-arithmetic: an op computes in binary64 and rounds once to the target
-format, which for binary32 is the correctly rounded result because
-53 >= 2*24 + 2.
+into a ``(signed significand, scale)`` pair (None for NaR).  Prepared
+operands come in pairs, which the quire's ``accum_term`` folds as one
+integer product and shift.  Both IEEE formats hold Python floats and
+share one arithmetic: an op computes in binary64 and rounds once to
+the target format, which for binary32 is the correctly rounded result
+because 53 >= 2*24 + 2.
 
 Input conversion (from_fraction) is an I/O boundary and deliberately
 does not count as a kernel rounding.  Exception values (posit NaR,
@@ -35,9 +35,10 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional
 
-from .posit import PositConfig, arith, decode, encode_round, format_bits, round_scaled, to_float
+from .posit import PositConfig, arith, decode, encode_round, format_bits, to_float
 from .quire import QuireConfig, add_units, drain, operand, prepare, term_units
 
 __all__ = [
@@ -101,8 +102,9 @@ class Backend:
 
     def prepare(self, values):
         """Operand values as accum_term reads them fastest; a kernel
-        calls this once per operand vector.  accum_term also takes
-        values as they are.  The default is the identity."""
+        calls this once per operand vector.  Prepared operands come in
+        pairs; values as they are fit a term of any arity.  The default
+        is the identity."""
         return values
 
     def accum_new(self):
@@ -192,6 +194,10 @@ class PositNaiveBackend(Backend):
     def from_fraction(self, x: Fraction):
         return encode_round(x, self.cfg)
 
+    def one(self):
+        # 0b01 followed by zeros is 1 at every width and es
+        return 1 << (self.cfg.nbits - 2)
+
     def to_fraction(self, v) -> Optional[Fraction]:
         d = decode(v, self.cfg)
         if d.kind == "nar":
@@ -220,8 +226,10 @@ class QuireBackend(PositNaiveBackend):
     ``(signed significand, scale)`` pair or None for NaR, and
     ``accum_term`` folds a pair of operands into the exact integer sum
     by the quire's product rule; a pattern handed to it as it is gets
-    prepared first.  The accumulator is None after a NaR operand; only
-    accum_finish rounds.
+    prepared first.  Prepared operands come in pairs; a term of any
+    other arity, in patterns, rounds each multiply before its last
+    factor.  The accumulator is None after a NaR operand; apart from
+    those multiplies only accum_finish rounds.
     """
 
     def __init__(self, cfg: PositConfig) -> None:
@@ -238,30 +246,17 @@ class QuireBackend(PositNaiveBackend):
     def accum_term(self, acc, factors):
         if acc is None:
             return None
-        a, b = factors if len(factors) == 2 else self._fused_pair(factors)
+        if len(factors) == 2:
+            a, b = factors
+        else:
+            # any other arity: the rounded product of all but the last factor, then the last
+            a = reduce(self.mul, factors[:-1]) if len(factors) > 1 else self.one()
+            b = factors[-1] if factors else self.one()
         if a.__class__ is int:
             a = operand(a, self.cfg)
         if b.__class__ is int:
             b = operand(b, self.cfg)
         return add_units(acc, term_units(a, b, self.qcfg.lsb_scale))
-
-    def _fused_pair(self, factors):
-        """The two operands a term of other than two factors feeds the
-        quire: a lone p is p*1, the empty term 1*1, and the factors
-        before the last fold into the first by rounded multiplies."""
-        if len(factors) < 2:
-            return _ONE, (factors[0] if factors else _ONE)
-        cfg = self.cfg
-        head = [operand(f, cfg) if f.__class__ is int else f for f in factors[:-1]]
-        a = head[0]
-        for f in head[1:]:
-            # one rounded multiply, as PositNaiveBackend.mul
-            self.roundings += 1
-            if a is None or f is None:
-                a = None
-            else:
-                a = operand(round_scaled(a[0] * f[0], a[1] + f[1], cfg), cfg)
-        return a, factors[-1]
 
     def accum_merge(self, a, b):
         return add_units(a, b)
@@ -269,10 +264,6 @@ class QuireBackend(PositNaiveBackend):
     def accum_finish(self, acc):
         self.roundings += 1
         return drain(acc, self.qcfg)
-
-
-# the operand 1 = 1 * 2**0
-_ONE = (1, 0)
 
 
 class _IEEEBackend(Backend):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Tuple
 
 from .arrays import DenseArray
@@ -80,11 +81,8 @@ def run_matvec(a, x, backend: Backend, schedule: Schedule = SEQUENTIAL) -> Dense
         raise ValueError(f"matvec shape mismatch: {m}x{n} vs {len(xs)}")
     data = backend.prepare(data)
     xs = backend.prepare(xs)
-    out = []
-    for i in range(m):
-        row = data[i * n : (i + 1) * n]
-        out.append(reduce_terms(backend, list(zip(row, xs)), schedule))
-    return DenseArray((m,), out)
+    rows = (data[i * n : (i + 1) * n] for i in range(m))
+    return DenseArray((m,), [reduce_terms(backend, list(zip(row, xs)), schedule) for row in rows])
 
 
 def run_matmul(a, b, backend: Backend, schedule: Schedule = SEQUENTIAL) -> DenseArray:
@@ -95,12 +93,9 @@ def run_matmul(a, b, backend: Backend, schedule: Schedule = SEQUENTIAL) -> Dense
     # each operand is prepared once, not once per term that reads it
     da = backend.prepare(da)
     db = backend.prepare(db)
+    rows = [da[i * n : (i + 1) * n] for i in range(m)]
     cols = [db[j::p] for j in range(p)]
-    out = []
-    for i in range(m):
-        row = da[i * n : (i + 1) * n]
-        for col in cols:
-            out.append(reduce_terms(backend, list(zip(row, col)), schedule))
+    out = [reduce_terms(backend, list(zip(row, col)), schedule) for row in rows for col in cols]
     return DenseArray((m, p), out)
 
 
@@ -140,10 +135,11 @@ def evaluate_normal_form(
 
     ``arrays`` maps operand names to backend-native value sequences.
     Each Sum node owns one accumulator (rounded once on exit); factors
-    of a term enter it unrounded.  Sum and Div values that do not
-    depend on the loop variables in scope are computed once and reused,
-    so the operation count matches the direct kernel routes.  A zero
-    divisor gives the backend's exception value.
+    of a term enter it unrounded and unprepared (prepared operands come
+    in pairs).  Sum and Div values that do not depend on the loop
+    variables in scope are computed once and reused, so the operation
+    count matches the direct kernel routes.  A zero divisor gives the
+    backend's exception value.
     """
     data = {}
     for name, ext in nf.operands:
@@ -159,53 +155,33 @@ def evaluate_normal_form(
     fv_cache: dict = {}
     memo: dict = {}
 
-    def memo_key(node, env):
-        return node, tuple(sorted((v, env[v]) for v in _free_vars(node, fv_cache)))
-
     def eval_factors(node, env) -> tuple:
         if isinstance(node, Ref):
             return (data[node.array][node.index.evaluate(env)],)
         if isinstance(node, Mul):
-            fs: list = []
-            for f in node.factors:
-                fs.extend(eval_factors(f, env))
-            return tuple(fs)
-        if isinstance(node, Sum):
-            return eval_sum(node, env)
+            return tuple(itertools.chain.from_iterable(eval_factors(f, env) for f in node.factors))
         if isinstance(node, Add):
-            vals = [eval_scalar(t, env) for t in node.terms]
-            v = vals[0]
-            for t in vals[1:]:
-                v = backend.add(v, t)
-            return (v,)
-        if isinstance(node, Div):
-            key = memo_key(node, env)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            num = eval_scalar(node.num, env)
-            den = eval_scalar(node.den, env)
-            res = (backend.div(num, den),)
-            memo[key] = res
+            return (reduce(backend.add, [eval_scalar(t, env) for t in node.terms]),)
+        if isinstance(node, (Sum, Div)):
+            # computed once per binding of the node's free variables
+            key = node, tuple(sorted((v, env[v]) for v in _free_vars(node, fv_cache)))
+            res = memo.get(key)
+            if res is None:
+                if isinstance(node, Sum):
+                    res = eval_sum(node, env)
+                else:
+                    res = (backend.div(eval_scalar(node.num, env), eval_scalar(node.den, env)),)
+                memo[key] = res
             return res
         raise TypeError(f"not a normal-form node: {type(node).__name__}")
 
     def eval_scalar(node, env):
-        fs = eval_factors(node, env)
-        v = fs[0]
-        for f in fs[1:]:
-            v = backend.mul(v, f)
-        return v
+        return reduce(backend.mul, eval_factors(node, env))
 
     def eval_sum(node: Sum, env) -> tuple:
-        key = memo_key(node, env)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         bound = tuple(v for v, _ in node.indices)
         bset = frozenset(bound)
-        body = node.body
-        parts = body.factors if isinstance(body, Mul) else (body,)
+        parts = node.body.factors if isinstance(node.body, Mul) else (node.body,)
         # factors free of the reduction indices hoist out of the
         # accumulation and join the result as sibling factors
         inv_vals: list = []
@@ -222,16 +198,12 @@ def evaluate_normal_form(
             fs: list = []
             for part in varying:
                 fs.extend(eval_factors(part, env2))
-            terms.append(tuple(backend.prepare(fs)))
-        s = reduce_terms(backend, terms, schedule)
-        res = (*inv_vals, s)
-        memo[key] = res
-        return res
+            terms.append(tuple(fs))
+        return (*inv_vals, reduce_terms(backend, terms, schedule))
 
     for point in itertools.product(*(range(n) for _, n in nf.loops)):
         env = dict(zip((v for v, _ in nf.loops), point))
-        val = eval_scalar(nf.body, env)
-        out[nf.out_index.evaluate(env)] = val
+        out[nf.out_index.evaluate(env)] = eval_scalar(nf.body, env)
     return DenseArray((nf.out_extent,), out)
 
 

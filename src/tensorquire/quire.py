@@ -45,6 +45,10 @@ __all__ = [
 # a prepared posit operand: (signed significand, scale), None for NaR
 Operand = Optional[Tuple[int, int]]
 
+# The widest quire in bits, over 32 times the widest in use (posit64 at es = 3,
+# 2,016 bits): the width doubles with each step of es, and so would the memory.
+MAX_WIDTH = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuireConfig:
@@ -60,6 +64,8 @@ class QuireConfig:
         # every product reads lsb_scale and every drain the carry bounds
         nbits, es = self.posit.nbits, self.posit.es
         total_width = ((nbits - 2) << (es + 2)) + 1 + self.carry_bits
+        if total_width > MAX_WIDTH:
+            raise ValueError(f"a posit({nbits},{es}) quire is {total_width} bits, past {MAX_WIDTH}")
         for name, value in (
             ("lsb_scale", -((nbits - 2) << (es + 1))),  # minpos squared
             ("total_width", total_width),

@@ -145,10 +145,9 @@ def reduce_terms(backend, terms: Sequence[tuple], schedule: Schedule):
 
     chunk = -(-n // schedule.workers)
     partials = []
-    for w in range(schedule.workers):
-        part = seq[w * chunk : (w + 1) * chunk]
-        if not part:
-            continue
+    # the non-empty chunks only, so a huge worker count costs nothing
+    for start in range(0, n, chunk):
+        part = seq[start : start + chunk]
         b0 = schedule.levels[0] if schedule.levels else len(part)
         accs = []
         for lo in range(0, len(part), b0):

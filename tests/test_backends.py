@@ -169,3 +169,12 @@ def test_import_loads_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_posit_one_is_the_encoded_one():
+    # every width and es; the quire's width bound admits es <= 3 everywhere
+    for nbits in range(3, 65):
+        for es in range(nbits - 2):
+            for name in ("quire", "naive") if es <= 3 else ("naive",):
+                backend = make_backend(name, nbits, es)
+                assert backend.one() == backend.from_fraction(Fraction(1)), (nbits, es)

@@ -322,6 +322,24 @@ class TestKernelCommand:
         assert out == ""
         assert err == "error: perm repeats 0\n"
 
+    def test_huge_worker_count_in_bounded_time(self, capsys, files):
+        # chunks past the last term are empty, so any worker count past
+        # n gives the bits of workers=n, at once
+        a = files("x.arr", CANCEL_X)
+        b = files("y.arr", ONES_3)
+        for backend in ("quire", "naive", "binary32"):
+            results = []
+            for workers in ("3", str(10**20)):
+                start = time.perf_counter()
+                code, out, _ = run_cli(
+                    capsys, "kernel", "dot", "--a", a, "--b", b, "--backend", backend,
+                    "--schedule", f"workers={workers}",
+                )
+                assert time.perf_counter() - start < 2
+                assert code == 0
+                results.append((lines_of(out)["result"], lines_of(out)["roundings"]))
+            assert results[0] == results[1]
+
 
 class TestCensusCommand:
     def test_nan_binary16(self, capsys):
@@ -459,10 +477,11 @@ class TestUsage:
             ("posit", "decode", "--bits", "0x40000000", "--es", "40"),
             ("kernel", "cg", "--matrix", "eye.arr", "--rhs", "rhs.arr", "--iters", "0"),
             ("kernel", "dot", "--a", "x.arr", "--b", "x.arr", "--n", "2"),
+            ("kernel", "dot", "--a", "x.arr", "--b", "x.arr", "--n", "64", "--es", "61"),
         ],
         ids=[
             "size-0", "size-neg", "plan-n-0", "plan-n-5000",
-            "posit-n-99", "posit-es-40", "iters-0", "kernel-n-2",
+            "posit-n-99", "posit-es-40", "iters-0", "kernel-n-2", "quire-es-61",
         ],
     )
     def test_bad_flag_values_are_usage_errors(self, capsys, files, argv):

@@ -18,7 +18,16 @@ from oracles import random_spd_system
 from tensorquire import kernels
 from tensorquire.arrays import DenseArray
 from tensorquire.backends import make_backend
-from tensorquire.exprs import apply_tiling, kernel_expr, normalize
+from tensorquire.exprs import (
+    Affine,
+    Mul,
+    NormalForm,
+    Ref,
+    Sum,
+    apply_tiling,
+    kernel_expr,
+    normalize,
+)
 from tensorquire.kernels import (
     BreakdownError,
     CGState,
@@ -32,7 +41,7 @@ from tensorquire.kernels import (
     run_matvec,
     run_outer,
 )
-from tensorquire.schedule import SEQUENTIAL, schedule_from_seed
+from tensorquire.schedule import SEQUENTIAL, reduce_terms, schedule_from_seed
 
 
 def _vec(backend, values):
@@ -375,3 +384,80 @@ class TestNormalFormEvaluator:
         a = _mat(backend, [[1, 2], [3, 4]])
         got = run_matvec(a, _vec(backend, [5, 6]), backend)
         assert [int(v) for v in got.data] == [17, 39]
+
+
+class TestInterpreterEqualsDirectRoutes:
+    """The normal-form interpreter gives the bits and the roundings
+    count of the direct routes, on every backend and schedule."""
+
+    N = 4
+
+    @pytest.fixture(params=BACKENDS)
+    def backend(self, request):
+        return make_backend(request.param)
+
+    @pytest.fixture(params=[None, 7], ids=["sequential", "seed-7"])
+    def schedule(self, request):
+        return SEQUENTIAL if request.param is None else schedule_from_seed(request.param, self.N)
+
+    def _values(self, backend, name, k):
+        rng = random.Random(name)
+        values = [Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(k)]
+        return _vec(backend, values)
+
+    def _check(self, backend, schedule, nf, arrays, direct):
+        backend.reset_counter()
+        got = evaluate_normal_form(nf, arrays, backend, schedule).data
+        roundings = backend.roundings
+        backend.reset_counter()
+        want = list(direct())
+        assert [backend.to_hex(v) for v in got] == [backend.to_hex(v) for v in want]
+        assert roundings == backend.roundings
+
+    def test_kernels(self, backend, schedule):
+        n = self.N
+        x, y = self._values(backend, "X", n), self._values(backend, "Y", n)
+        a, b = self._values(backend, "A", n * n), self._values(backend, "B", n * n)
+        am, bm = DenseArray((n, n), a), DenseArray((n, n), b)
+        dot, matmul, outer = (normalize(kernel_expr(k, n)) for k in ("dot", "matmul", "outer"))
+        for nf, arrays, direct in (
+            (dot, {"X": x, "Y": y}, lambda: [run_dot(x, y, backend, schedule)]),
+            (matmul, {"A": a, "B": b}, lambda: run_matmul(am, bm, backend, schedule).data),
+            (
+                apply_tiling(matmul, {"i": 2, "j": 1, "k": 2}),
+                {"A": a, "B": b},
+                lambda: run_matmul(am, bm, backend, schedule).data,
+            ),
+            (outer, {"X": x, "Y": y}, lambda: run_outer(x, y, backend).data),
+        ):
+            self._check(backend, schedule, nf, arrays, direct)
+
+    def test_closed_sum_is_reduced_once(self, backend, schedule):
+        # C[i] = X[i] * sum(j<n) Y[j]*Y[j]: the Sum has no free variable
+        n = self.N
+        i, j = Affine.var("i"), Affine.var("j")
+        body = Mul((Ref("X", i), Sum((("j", n),), Mul((Ref("Y", j), Ref("Y", j))))))
+        nf = NormalForm("C", n, i, (("i", n),), body, (("X", n), ("Y", n)))
+        x, y = self._values(backend, "X", n), self._values(backend, "Y", n)
+
+        def direct():
+            s = run_dot(y, y, backend, schedule)
+            return [backend.mul(xi, s) for xi in x]
+
+        self._check(backend, schedule, nf, {"X": x, "Y": y}, direct)
+
+    def test_hoisted_factor_leaves_one_factor_terms(self, backend, schedule):
+        # C[i] = sum(j<n) X[i]*Y[j]: X[i] hoists out of the Sum, whose
+        # terms are (Y[j],) and which is reduced once per i
+        n = self.N
+        i, j = Affine.var("i"), Affine.var("j")
+        body = Sum((("j", n),), Mul((Ref("X", i), Ref("Y", j))))
+        nf = NormalForm("C", n, i, (("i", n),), body, (("X", n), ("Y", n)))
+        x, y = self._values(backend, "X", n), self._values(backend, "Y", n)
+
+        def direct():
+            return [
+                backend.mul(xi, reduce_terms(backend, [(yj,) for yj in y], schedule)) for xi in x
+            ]
+
+        self._check(backend, schedule, nf, {"X": x, "Y": y}, direct)

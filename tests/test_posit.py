@@ -7,15 +7,16 @@ Exhaustive sweeps at the larger widths live in test_acceptance.py.
 
 from __future__ import annotations
 
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import fractions, integers, sampled_from
+from hypothesis.strategies import fractions, integers, one_of, sampled_from
 
-from oracles import ref_arith, ref_decode, ref_encode, _positive_values
+from oracles import ref_arith, ref_decode, ref_encode, ref_round, _positive_values
 from tensorquire.posit import (
     FINITE,
     NAR,
@@ -39,6 +40,13 @@ from tensorquire.posit import (
 _SMALL_FRACTIONS = fractions(
     min_value=Fraction(-(10**9)), max_value=Fraction(10**9), max_denominator=10**9
 )
+# 64-bit draws whose top bits are the pattern at any width: zero, NaR,
+# one, maxpos and their negatives, and full-range random patterns
+_TOP_PATTERNS = one_of(
+    sampled_from([0, 1 << 63, 1 << 62, (1 << 63) - 1, 3 << 62, (1 << 63) + 1]),
+    integers(0, (1 << 64) - 1),
+)
+_EXACT = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 
 class TestConfig:
@@ -225,6 +233,22 @@ class TestArith:
             for a in pats:
                 for b in pats:
                     assert arith(op, a, b, cfg) == ref_arith(op, a, b, nbits, es), (op, a, b)
+
+    @pytest.mark.parametrize("nbits", [32, 64])
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_from(["add", "sub", "mul", "div"]), _TOP_PATTERNS, _TOP_PATTERNS)
+    def test_matches_bisection_oracle_wide(self, nbits, op, a, b):
+        """posit32 and posit64 against the exact result of the decoded
+        operands, rounded once by bisection; ref_encode's table of every
+        pattern is out of reach past 16 bits."""
+        cfg = PositConfig(nbits, 2)
+        a, b = a >> (64 - nbits), b >> (64 - nbits)
+        va, vb = ref_decode(a, cfg), ref_decode(b, cfg)
+        if va is None or vb is None or (op == "div" and vb == 0):
+            want = cfg.nar_pattern
+        else:
+            want = ref_round(_EXACT[op](va, vb), cfg)
+        assert arith(op, a, b, cfg) == want
 
 
 class TestNoFractionOnArithmeticPath:

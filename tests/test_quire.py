@@ -16,8 +16,8 @@ from hypothesis.strategies import integers, lists
 
 from oracles import ref_dot
 from tensorquire.backends import QuireBackend
-from tensorquire.posit import POSIT8, POSIT32, decode, encode_round
-from tensorquire.quire import Quire, QuireConfig, exact_dot
+from tensorquire.posit import POSIT8, POSIT32, PositConfig, decode, encode_round
+from tensorquire.quire import MAX_WIDTH, Quire, QuireConfig, exact_dot
 
 Q8 = QuireConfig(POSIT8)
 Q32 = QuireConfig(POSIT32)
@@ -235,3 +235,15 @@ def test_hex_round_trip():
 def test_carry_bits_floor():
     with pytest.raises(ValueError):
         QuireConfig(POSIT8, carry_bits=29)
+
+
+def test_width_bound():
+    # the widest admitted posit64 and posit32 quires, then the first
+    # rejected es of each; a rejected width builds no integer that wide
+    assert QuireConfig(PositConfig(64, 8)).total_width == 63_520 <= MAX_WIDTH
+    assert QuireConfig(PositConfig(32, 9)).total_width == 61_472 <= MAX_WIDTH
+    for nbits, es in ((64, 9), (32, 10), (64, 61)):
+        with pytest.raises(ValueError, match=f"posit\\({nbits},{es}\\) quire"):
+            QuireConfig(PositConfig(nbits, es))
+    with pytest.raises(ValueError):
+        QuireConfig(POSIT8, carry_bits=MAX_WIDTH)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,30 @@ def test_reduce_terms_multi_factor(name):
     terms = [tuple(backend.from_fraction(Fraction(v)) for v in (2, 3, 5))]
     assert backend.to_fraction(reduce_terms(backend, terms, SEQUENTIAL)) == 30
     assert backend.roundings == MULTI_FACTOR_ROUNDINGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_ROUNDINGS))
+def test_reduce_terms_factorless_and_single_factor_terms(name):
+    # a term with no factors counts as one, and a lone factor as itself
+    backend = make_backend(name)
+    terms = [(), (backend.from_fraction(Fraction(5, 4)),), ()]
+    assert backend.to_fraction(reduce_terms(backend, terms, SEQUENTIAL)) == Fraction(13, 4)
+
+
+@pytest.mark.parametrize("name", ["quire", "naive", "binary32", "rational"])
+def test_huge_worker_count_ends_at_once(name):
+    # every chunk past the last term is empty, so workers=10**20 is
+    # workers=n, and the reduction ends in time bounded by n
+    backend = make_backend(name)
+    terms = [tuple(backend.from_fraction(Fraction(v, 7)) for v in (i, 3 - i)) for i in range(5)]
+    start = time.perf_counter()
+    got = reduce_terms(backend, terms, Schedule(None, (2,), 10**20))
+    assert time.perf_counter() - start < 2
+    roundings = backend.roundings
+    backend.reset_counter()
+    want = reduce_terms(backend, terms, Schedule(None, (2,), 5))
+    assert backend.to_hex(got) == backend.to_hex(want)
+    assert backend.roundings == roundings
 
 
 def test_worker_split_covers_short_tail():
