@@ -192,7 +192,7 @@ def load_values(data: ArrayData, backend) -> List[object]:
                 out.append(pattern)
                 continue
             d = decode(pattern, cfg)
-            if d.kind == "nar":
+            if d is None:
                 out.append(exception_value(backend))
             else:
                 out.append(backend.from_fraction(d.value))

@@ -16,13 +16,13 @@ Backend's own reduction is a fold of the backend's scalar ops, which
 the naive, IEEE and rational backends use as is; the quire backend is
 the one override.  Kernels pass each operand vector through
 ``prepare`` once before they build terms: the identity on every
-backend but the quire, whose ``prepare`` decodes each pattern once
-into a ``(signed significand, scale)`` pair (None for NaR).  Prepared
-operands come in pairs, which the quire's ``accum_term`` folds as one
-integer product and shift.  Both IEEE formats hold Python floats and
-share one arithmetic: an op computes in binary64 and rounds once to
-the target format, which for binary32 is the correctly rounded result
-because 53 >= 2*24 + 2.
+backend but the quire, whose ``prepare`` is ``decode`` of each
+pattern: its memoized ``DecodedReal``, a signed significand and a
+scale (None for NaR).  Prepared operands come in pairs, which the
+quire's ``accum_term`` folds as one integer product and shift.  Both
+IEEE formats hold Python floats and share one arithmetic: an op
+computes in binary64 and rounds once to the target format, which for
+binary32 is the correctly rounded result because 53 >= 2*24 + 2.
 
 Input conversion (from_fraction) is an I/O boundary and deliberately
 does not count as a kernel rounding.  Exception values (posit NaR,
@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional
 
 from .posit import PositConfig, arith, decode, encode_round, format_bits, to_float
-from .quire import QuireConfig, add_units, drain, operand, prepare, term_units
+from .quire import QuireConfig, add_units, drain, prepare, term_units
 
 __all__ = [
     "Backend",
@@ -200,9 +201,7 @@ class PositNaiveBackend(Backend):
 
     def to_fraction(self, v) -> Optional[Fraction]:
         d = decode(v, self.cfg)
-        if d.kind == "nar":
-            return None
-        return d.value
+        return None if d is None else d.value
 
     def is_zero(self, v) -> bool:
         return v == 0
@@ -222,14 +221,14 @@ class PositNaiveBackend(Backend):
 class QuireBackend(PositNaiveBackend):
     """The same posit scalars with exact quire reductions.
 
-    ``prepare`` decodes each pattern once into a quire operand, a
-    ``(signed significand, scale)`` pair or None for NaR, and
-    ``accum_term`` folds a pair of operands into the exact integer sum
-    by the quire's product rule; a pattern handed to it as it is gets
-    prepared first.  Prepared operands come in pairs; a term of any
-    other arity, in patterns, rounds each multiply before its last
-    factor.  The accumulator is None after a NaR operand; apart from
-    those multiplies only accum_finish rounds.
+    ``prepare`` is ``decode`` of each pattern, the memoized
+    ``DecodedReal`` or None for NaR, and ``accum_term`` folds a pair of
+    them into the exact integer sum by the quire's product rule; a
+    pattern handed to it as it is gets decoded first.  Prepared
+    operands come in pairs; a term of any other arity, in patterns,
+    rounds each multiply before its last factor.  The accumulator is
+    None after a NaR operand; apart from those multiplies only
+    accum_finish rounds.
     """
 
     def __init__(self, cfg: PositConfig) -> None:
@@ -253,9 +252,9 @@ class QuireBackend(PositNaiveBackend):
             a = reduce(self.mul, factors[:-1]) if len(factors) > 1 else self.one()
             b = factors[-1] if factors else self.one()
         if a.__class__ is int:
-            a = operand(a, self.cfg)
+            a = decode(a, self.cfg)
         if b.__class__ is int:
-            b = operand(b, self.cfg)
+            b = decode(b, self.cfg)
         return add_units(acc, term_units(a, b, self.qcfg.lsb_scale))
 
     def accum_merge(self, a, b):
@@ -401,7 +400,19 @@ class RationalBackend(Backend):
 
     def to_hex(self, v) -> str:
         # rationals have no bit pattern; serialize the exact value
-        return "NaR" if v is None else f"{v.numerator}/{v.denominator}"
+        if v is None:
+            return "NaR"
+        # CPython's limit on int-to-decimal digits guards the parsing of
+        # untrusted text; an exact value is rendered whole at any length.
+        # A CPython without the setter has no limit.
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return f"{v.numerator}/{v.denominator}"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return f"{v.numerator}/{v.denominator}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def format_value(self, v) -> str:
         if v is None:

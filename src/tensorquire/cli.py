@@ -25,7 +25,7 @@ from .backends import BACKEND_NAMES, PositNaiveBackend, RationalBackend, make_ba
 from .exprs import kernel_expr, normalize, reuse_census
 from .kernels import BreakdownError, cg_solve, run_dot, run_matmul, run_matvec, run_outer
 from .planner import format_cost_model, parse_cost_model, plan
-from .posit import PositConfig, decode, encode_round, format_bits, parse_bits
+from .posit import NAR, PositConfig, decode, encode_round, format_bits, parse_bits
 from .schedule import SEQUENTIAL, format_schedule, parse_schedule, schedule_from_seed
 
 __all__ = ["main"]
@@ -106,8 +106,8 @@ def cmd_posit(args) -> Report:
         bits = parse_bits(args.bits, cfg)
         d = decode(bits, cfg)
         rep.add("bits", format_bits(bits, cfg))
-        rep.add("kind", d.kind)
-        if d.kind == "nar":
+        rep.add("kind", NAR if d is None else d.kind)
+        if d is None:
             rep.add("value", "NaR")
         else:
             rep.add("value", exact.format_value(d.value))

@@ -309,8 +309,8 @@ def matmul_expr(n: int) -> MatMul:
     return MatMul(Leaf("A", (n, n)), Leaf("B", (n, n)))
 
 
-def outer_expr(n: int, m: Optional[int] = None) -> OuterProduct:
-    return OuterProduct(Leaf("X", (n,)), Leaf("Y", (m if m is not None else n,)))
+def outer_expr(n: int) -> OuterProduct:
+    return OuterProduct(Leaf("X", (n,)), Leaf("Y", (n,)))
 
 
 def cg_expr(n: int) -> CGKernel:

@@ -136,10 +136,10 @@ def evaluate_normal_form(
     ``arrays`` maps operand names to backend-native value sequences.
     Each Sum node owns one accumulator (rounded once on exit); factors
     of a term enter it unrounded and unprepared (prepared operands come
-    in pairs).  Sum and Div values that do not depend on the loop
-    variables in scope are computed once and reused, so the operation
-    count matches the direct kernel routes.  A zero divisor gives the
-    backend's exception value.
+    in pairs).  A Sum's reduction is computed once per binding of the
+    loop variables its varying factors read, and a Div once per binding
+    of its own, so the operation count matches the direct kernel
+    routes.  A zero divisor gives the backend's exception value.
     """
     data = {}
     for name, ext in nf.operands:
@@ -162,17 +162,14 @@ def evaluate_normal_form(
             return tuple(itertools.chain.from_iterable(eval_factors(f, env) for f in node.factors))
         if isinstance(node, Add):
             return (reduce(backend.add, [eval_scalar(t, env) for t in node.terms]),)
-        if isinstance(node, (Sum, Div)):
+        if isinstance(node, Sum):
+            return eval_sum(node, env)
+        if isinstance(node, Div):
             # computed once per binding of the node's free variables
             key = node, tuple(sorted((v, env[v]) for v in _free_vars(node, fv_cache)))
-            res = memo.get(key)
-            if res is None:
-                if isinstance(node, Sum):
-                    res = eval_sum(node, env)
-                else:
-                    res = (backend.div(eval_scalar(node.num, env), eval_scalar(node.den, env)),)
-                memo[key] = res
-            return res
+            if key not in memo:
+                memo[key] = (backend.div(eval_scalar(node.num, env), eval_scalar(node.den, env)),)
+            return memo[key]
         raise TypeError(f"not a normal-form node: {type(node).__name__}")
 
     def eval_scalar(node, env):
@@ -191,15 +188,21 @@ def evaluate_normal_form(
                 varying.append(part)
             else:
                 inv_vals.extend(eval_factors(part, env))
-        terms = []
-        for point in itertools.product(*(range(n) for _, n in node.indices)):
-            env2 = dict(env)
-            env2.update(zip(bound, point))
-            fs: list = []
-            for part in varying:
-                fs.extend(eval_factors(part, env2))
-            terms.append(tuple(fs))
-        return (*inv_vals, reduce_terms(backend, terms, schedule))
+        # the reduction is computed once per binding of the varying
+        # parts' free variables; the hoisted factors do not key it
+        free = frozenset().union(*(_free_vars(part, fv_cache) for part in varying)) - bset
+        key = node, tuple(sorted((v, env[v]) for v in free))
+        if key not in memo:
+            terms = []
+            for point in itertools.product(*(range(n) for _, n in node.indices)):
+                env2 = dict(env)
+                env2.update(zip(bound, point))
+                fs: list = []
+                for part in varying:
+                    fs.extend(eval_factors(part, env2))
+                terms.append(tuple(fs))
+            memo[key] = reduce_terms(backend, terms, schedule)
+        return (*inv_vals, memo[key])
 
     for point in itertools.product(*(range(n) for _, n in nf.loops)):
         env = dict(zip((v for v, _ in nf.loops), point))

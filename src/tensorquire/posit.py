@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 __all__ = [
     "PositConfig",
@@ -109,32 +109,30 @@ def scaled_fraction(v: int, scale: int) -> Fraction:
 
 
 class DecodedReal(NamedTuple):
-    """Exact value of a pattern: ``sign * significand * 2**scale``.
+    """Exact value of a real pattern: ``significand * 2**scale``.
 
-    ``significand`` is odd for finite nonzero values, so the triple is
-    canonical; zero has significand 0, so the product is its value too.
-    ``kind`` is one of "zero", "nar", "finite"; sign is +1 or -1.
+    ``significand`` is signed and odd for nonzero values, so the pair is
+    canonical; zero is ``(0, 0)``, so the product is its value too.  NaR
+    is not a real and decodes to None.  This pair is also the operand
+    the quire's product rule reads.
     """
 
-    kind: str
-    sign: int = 1
-    scale: int = 0
-    significand: int = 0
+    significand: int
+    scale: int
+
+    @property
+    def kind(self) -> str:
+        """One of "zero" and "finite"; NaR has no DecodedReal."""
+        return FINITE if self.significand else ZERO
 
     @property
     def value(self) -> Fraction:
-        if self.kind == NAR:
-            raise ValueError("NaR has no rational value")
-        return scaled_fraction(self.sign * self.significand, self.scale)
-
-
-_DECODED_ZERO = DecodedReal(ZERO)
-_DECODED_NAR = DecodedReal(NAR)
+        return scaled_fraction(self.significand, self.scale)
 
 
 @functools.lru_cache(maxsize=1 << 13)
-def decode(bits: int, cfg: PositConfig) -> DecodedReal:
-    """Decode a bit pattern to its exact value (every pattern decodes).
+def decode(bits: int, cfg: PositConfig) -> Optional[DecodedReal]:
+    """Decode a bit pattern to its exact value, None for NaR.
 
     An LRU memo of 8,192 entries keeps a stream of distinct patterns from
     growing the process.  Kernels decode each operand once per call, so
@@ -151,14 +149,11 @@ def decode(bits: int, cfg: PositConfig) -> DecodedReal:
     if bits >> n:
         raise ValueError(f"pattern 0x{bits:x} wider than {n} bits")
     if bits == 0:
-        return _DECODED_ZERO
+        return DecodedReal(0, 0)
     if bits == cfg.nar_pattern:
-        return _DECODED_NAR
-    sign = 1
-    mag = bits
-    if bits >> (n - 1):
-        sign = -1
-        mag = (-bits) & cfg.mask
+        return None
+    negative = bits >> (n - 1)
+    mag = (-bits) & cfg.mask if negative else bits
     # mag now has a clear sign bit; the low n-1 bits are the tail.
     # The regime run ends at the leading one of mag (a run of zeros) or
     # of its complement within the tail (a run of ones).
@@ -181,7 +176,8 @@ def decode(bits: int, cfg: PositConfig) -> DecodedReal:
     # Canonicalize: shift out the trailing zeros to keep the significand odd.
     tz = (sig & -sig).bit_length() - 1
     scale = (k << cfg.es) + e - frac_width + tz
-    return DecodedReal(FINITE, sign, scale, sig >> tz)
+    sig >>= tz
+    return DecodedReal(-sig if negative else sig, scale)
 
 
 def round_scaled(v: int, scale: int, cfg: PositConfig) -> int:
@@ -256,23 +252,23 @@ def arith(op: str, a: int, b: int, cfg: PositConfig) -> int:
     """
     da = decode(a, cfg)
     db = decode(b, cfg)
-    if da.kind == NAR or db.kind == NAR:
+    if da is None or db is None:
         return cfg.nar_pattern
 
-    va = da.sign * da.significand
-    vb = db.sign * db.significand
+    va, sa = da
+    vb, sb = db
     if op == "add" or op == "sub":
         if op == "sub":
             vb = -vb
         # Align both operands to the smaller scale; the sum is exact.
-        scale = min(da.scale, db.scale)
-        return round_scaled((va << (da.scale - scale)) + (vb << (db.scale - scale)), scale, cfg)
+        scale = min(sa, sb)
+        return round_scaled((va << (sa - scale)) + (vb << (sb - scale)), scale, cfg)
     if op == "mul":
-        return round_scaled(va * vb, da.scale + db.scale, cfg)
+        return round_scaled(va * vb, sa + sb, cfg)
     if op == "div":
         if vb == 0:
             return cfg.nar_pattern
-        return _round_quotient(va * db.sign, db.significand, da.scale - db.scale, cfg)
+        return _round_quotient(-va if vb < 0 else va, abs(vb), sa - sb, cfg)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -304,10 +300,10 @@ def to_float(bits: int, cfg: PositConfig, exact: bool = True) -> float:
     ``exact=False`` to accept the nearest double instead.
     """
     d = decode(bits, cfg)
-    if d.kind == NAR:
+    if d is None:
         return float("nan")
     if d.significand.bit_length() <= 53:
-        return math.ldexp(d.sign * d.significand, d.scale)
+        return math.ldexp(d.significand, d.scale)
     if exact:
         raise InexactConversion(
             f"pattern {format_bits(bits, cfg)} needs {d.significand.bit_length()} significand bits"

@@ -25,16 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
-from .posit import NAR, PositConfig, decode, round_scaled, scaled_fraction
+from .posit import DecodedReal, PositConfig, decode, round_scaled, scaled_fraction
 
 __all__ = [
     "QuireConfig",
     "Quire",
-    "Operand",
     "exact_dot",
-    "operand",
     "prepare",
     "term_units",
     "product_units",
@@ -42,12 +40,12 @@ __all__ = [
     "drain",
 ]
 
-# a prepared posit operand: (signed significand, scale), None for NaR
-Operand = Optional[Tuple[int, int]]
-
 # The widest quire in bits, over 32 times the widest in use (posit64 at es = 3,
 # 2,016 bits): the width doubles with each step of es, and so would the memory.
 MAX_WIDTH = 1 << 16
+
+# Carry headroom above the value field (see the width budget above).
+CARRY_BITS = 31
 
 
 @dataclass(frozen=True)
@@ -55,15 +53,12 @@ class QuireConfig:
     """Accumulator geometry derived from a posit format."""
 
     posit: PositConfig
-    carry_bits: int = 31
 
     def __post_init__(self) -> None:
-        if self.carry_bits < 30:
-            raise ValueError("carry_bits must be at least 30")
         # plain attributes and a hash computed once, as for PositConfig:
         # every product reads lsb_scale and every drain the carry bounds
         nbits, es = self.posit.nbits, self.posit.es
-        total_width = ((nbits - 2) << (es + 2)) + 1 + self.carry_bits
+        total_width = ((nbits - 2) << (es + 2)) + 1 + CARRY_BITS
         if total_width > MAX_WIDTH:
             raise ValueError(f"a posit({nbits},{es}) quire is {total_width} bits, past {MAX_WIDTH}")
         for name, value in (
@@ -72,7 +67,7 @@ class QuireConfig:
             ("max_int", (1 << (total_width - 1)) - 1),
             ("min_int", -(1 << (total_width - 1))),
             ("hex_digits", (total_width + 3) // 4),
-            ("_hash", hash((self.posit, self.carry_bits))),
+            ("_hash", hash(self.posit)),
         ):
             object.__setattr__(self, name, value)
 
@@ -80,24 +75,17 @@ class QuireConfig:
         return self._hash
 
 
-def operand(bits: int, cfg: PositConfig) -> Operand:
-    """A pattern as the product rule reads it: its exact value as a
-    ``(signed significand, scale)`` pair, or None for NaR."""
-    d = decode(bits, cfg)
-    return None if d.kind == NAR else (d.sign * d.significand, d.scale)
-
-
-def prepare(values: Iterable[int], cfg: PositConfig) -> List[Operand]:
-    """Decode each pattern once into its operand.
+def prepare(values: Iterable[int], cfg: PositConfig) -> List[Optional[DecodedReal]]:
+    """``decode`` of each pattern: its memoized ``DecodedReal``, None for NaR.
 
     A kernel prepares each operand vector once, so a matmul decodes
     2n^2 patterns rather than one pair per term.
     """
-    return [operand(bits, cfg) for bits in values]
+    return [decode(bits, cfg) for bits in values]
 
 
-def term_units(a: Operand, b: Operand, lsb_scale: int) -> Optional[int]:
-    """The product rule: the exact product of two prepared operands in
+def term_units(a: Optional[DecodedReal], b: Optional[DecodedReal], lsb_scale: int) -> Optional[int]:
+    """The product rule: the exact product of two decoded posits in
     units of ``2**lsb_scale``, None for NaR.
 
     The shift is never negative for the quire's ``lsb_scale``: the
@@ -113,7 +101,7 @@ def term_units(a: Operand, b: Operand, lsb_scale: int) -> Optional[int]:
 def product_units(a_bits: int, b_bits: int, qcfg: QuireConfig) -> Optional[int]:
     """Exact product of two posit patterns in accumulator units, None for NaR."""
     pcfg = qcfg.posit
-    return term_units(operand(a_bits, pcfg), operand(b_bits, pcfg), qcfg.lsb_scale)
+    return term_units(decode(a_bits, pcfg), decode(b_bits, pcfg), qcfg.lsb_scale)
 
 
 def add_units(acc: Optional[int], units: Optional[int]) -> Optional[int]:
@@ -205,18 +193,13 @@ class Quire:
         return cls(cfg, bits)
 
 
-def exact_dot(xs: Sequence[int], ys: Sequence[int], cfg) -> int:
-    """Dot product with a single rounding at the end.
-
-    ``cfg`` may be a PositConfig (default quire geometry) or a
-    QuireConfig.  Inputs are posit bit patterns.
-    """
-    if isinstance(cfg, PositConfig):
-        cfg = QuireConfig(cfg)
+def exact_dot(xs: Sequence[int], ys: Sequence[int], cfg: PositConfig) -> int:
+    """Dot product of posit bit patterns with a single rounding at the end."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    px, py = prepare(xs, cfg.posit), prepare(ys, cfg.posit)
+    qcfg = QuireConfig(cfg)
+    px, py = prepare(xs, cfg), prepare(ys, cfg)
     # a NaR operand absorbs, so the sum runs only over finite operands
     if None in px or None in py:
-        return drain(None, cfg)
-    return drain(sum(map(term_units, px, py, repeat(cfg.lsb_scale))), cfg)
+        return drain(None, qcfg)
+    return drain(sum(map(term_units, px, py, repeat(qcfg.lsb_scale))), qcfg)

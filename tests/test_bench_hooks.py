@@ -15,8 +15,8 @@ from pathlib import Path
 
 from tensorquire.backends import BACKEND_NAMES, make_backend
 from tensorquire.kernels import run_dot
-from tensorquire.posit import POSIT32
-from tensorquire.quire import QuireConfig, product_units
+from tensorquire.posit import POSIT32, arith, decode
+from tensorquire.quire import Quire, QuireConfig, exact_dot, product_units
 from tensorquire.schedule import reduce_terms, schedule_from_seed
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -51,8 +51,35 @@ def test_method_hooks_are_defined_on_their_class():
 
 
 # The layer sweep (perfbench/layers.py) also calls the package directly:
-# accum_term on raw values of every backend, product_units on patterns,
-# and reduce_terms with a backend that has no arithmetic at all.
+# decode and arith on patterns, accum_term on raw values of every
+# backend, product_units, Quire and exact_dot on patterns, and
+# reduce_terms with a backend that has no arithmetic at all.
+
+
+def test_decode_and_arith_take_full_range_patterns():
+    rng = random.Random(3)
+    pats = [rng.getrandbits(32) for _ in range(200)] + [0, POSIT32.nar_pattern]
+    for p in pats:
+        d = decode(p, POSIT32)
+        assert (d is None) == (p == POSIT32.nar_pattern)
+    for a, b in zip(pats[::2], pats[1::2]):
+        for op in ("mul", "add", "div"):
+            assert 0 <= arith(op, a, b, POSIT32) <= POSIT32.mask
+
+
+def test_quire_fma_then_drain_equals_exact_dot():
+    rng = random.Random(5)
+    qcfg = QuireConfig(POSIT32)
+    for nar in (False, True):
+        xs = [rng.getrandbits(32) for _ in range(64)]
+        ys = [rng.getrandbits(32) for _ in range(64)]
+        if nar:
+            xs[7] = POSIT32.nar_pattern
+        q = Quire.zero(qcfg)
+        for a, b in zip(xs, ys):
+            q = q.fma(a, b)
+        assert q.to_posit() == exact_dot(xs, ys, POSIT32)
+        assert q.nar == nar
 
 
 def test_accum_term_on_raw_values_equals_the_kernel():

@@ -7,6 +7,7 @@ error, 3 numerical breakdown.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -56,6 +57,54 @@ class TestPositCommand:
         got = lines_of(out)
         assert got["kind"] == "nar"
         assert got["value"] == "NaR"
+
+    # every decoded kind, both signs and both ends of the range, at the
+    # interchange format and at the narrowest and widest es in use
+    @pytest.mark.parametrize(
+        "n, es, bits, tail",
+        [
+            (32, 2, "0x00000000", "kind=zero\nvalue=0.0\nfraction=0/1\n"),
+            (32, 2, "0x80000000", "kind=nar\nvalue=NaR\n"),
+            (32, 2, "0x40000000", "kind=finite\nvalue=1.0\nfraction=1/1\n"),
+            (32, 2, "0xc0000000", "kind=finite\nvalue=-1.0\nfraction=-1/1\n"),
+            (32, 2, "0x7fffffff",
+             f"kind=finite\nvalue=1.329227995784916e+36\nfraction={2**120}/1\n"),
+            (32, 2, "0xffffffff",
+             f"kind=finite\nvalue=-7.52316384526264e-37\nfraction=-1/{2**120}\n"),
+            (8, 0, "0x00", "kind=zero\nvalue=0.0\nfraction=0/1\n"),
+            (8, 0, "0x80", "kind=nar\nvalue=NaR\n"),
+            (8, 0, "0x40", "kind=finite\nvalue=1.0\nfraction=1/1\n"),
+            (8, 0, "0xc0", "kind=finite\nvalue=-1.0\nfraction=-1/1\n"),
+            (8, 0, "0x7f", "kind=finite\nvalue=64.0\nfraction=64/1\n"),
+            (8, 0, "0xff", "kind=finite\nvalue=-0.015625\nfraction=-1/64\n"),
+            (64, 3, "0x0000000000000000", "kind=zero\nvalue=0.0\nfraction=0/1\n"),
+            (64, 3, "0x8000000000000000", "kind=nar\nvalue=NaR\n"),
+            (64, 3, "0x4000000000000000", "kind=finite\nvalue=1.0\nfraction=1/1\n"),
+            (64, 3, "0xc000000000000000", "kind=finite\nvalue=-1.0\nfraction=-1/1\n"),
+            (64, 3, "0x7fffffffffffffff",
+             f"kind=finite\nvalue=2.0458691299350887e+149\nfraction={2**496}/1\n"),
+            (64, 3, "0xffffffffffffffff",
+             f"kind=finite\nvalue=-4.887898181599368e-150\nfraction=-1/{2**496}\n"),
+        ],
+    )
+    def test_decode_bytes(self, capsys, n, es, bits, tail):
+        code, out, err = run_cli(capsys, "posit", "decode", "--bits", bits,
+                                 "--n", str(n), "--es", str(es))
+        assert (code, err) == (0, "")
+        assert out == f"command=posit decode\nn={n}\nes={es}\nbits={bits}\n" + tail
+
+    @pytest.mark.parametrize(
+        "value, tail",
+        [
+            ("0", "bits=0x00000000\nrounded=0.0\nfraction=0/1\nexact=yes\n"),
+            ("-3/7", "bits=0xca492492\nrounded=-0.4285714291036129\n"
+                     "fraction=-115043767/268435456\nexact=no\n"),
+        ],
+    )
+    def test_encode_bytes(self, capsys, value, tail):
+        code, out, err = run_cli(capsys, "posit", "encode", f"--value={value}")
+        assert (code, err) == (0, "")
+        assert out == f"command=posit encode\nn=32\nes=2\nvalue={value}\n" + tail
 
     def test_encode_256_at_8_bits(self, capsys):
         code, out, _ = run_cli(
@@ -339,6 +388,36 @@ class TestKernelCommand:
                 assert code == 0
                 results.append((lines_of(out)["result"], lines_of(out)["roundings"]))
             assert results[0] == results[1]
+
+    def test_rational_report_past_the_digit_limit(self, capsys, files):
+        # CPython refuses int-to-decimal conversions past 4,300 digits by
+        # default; an exact result that long is still reported whole, and
+        # the interpreter's limit is what it was before
+        ones = files("ones.arr", ONES_3)
+        one = files("one.arr", "shape 1\nformat decimal\n1\n")
+        for a, b, fraction in (
+            (files("tiny.arr", "shape 3\nformat decimal\n1e-4301 2 3\n"), ones,
+             "5" + "0" * 4300 + "1/1" + "0" * 4301),
+            (files("huge.arr", "shape 1\nformat decimal\n1e4301\n"), one, "1" + "0" * 4301 + "/1"),
+        ):
+            limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "kernel", "dot", "--a", a, "--b", b,
+                                     "--backend", "rational")
+            assert time.perf_counter() - start < 2
+            assert (code, err) == (0, "")
+            assert lines_of(out)["result"].split()[0] == fraction
+            assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_decimal_token_past_the_digit_limit_is_refused(self, capsys, files):
+        # the digit limit still guards parsing
+        a = files("long.arr", "shape 1\nformat decimal\n" + "7" * 5000 + "\n")
+        b = files("one.arr", "shape 1\nformat decimal\n1\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "kernel", "dot", "--a", a, "--b", b, "--backend", "rational")
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert "bad decimal token" in err
 
 
 class TestCensusCommand:

@@ -448,7 +448,7 @@ class TestInterpreterEqualsDirectRoutes:
 
     def test_hoisted_factor_leaves_one_factor_terms(self, backend, schedule):
         # C[i] = sum(j<n) X[i]*Y[j]: X[i] hoists out of the Sum, whose
-        # terms are (Y[j],) and which is reduced once per i
+        # terms are (Y[j],) and which is reduced once, not once per i
         n = self.N
         i, j = Affine.var("i"), Affine.var("j")
         body = Sum((("j", n),), Mul((Ref("X", i), Ref("Y", j))))
@@ -456,8 +456,7 @@ class TestInterpreterEqualsDirectRoutes:
         x, y = self._values(backend, "X", n), self._values(backend, "Y", n)
 
         def direct():
-            return [
-                backend.mul(xi, reduce_terms(backend, [(yj,) for yj in y], schedule)) for xi in x
-            ]
+            s = reduce_terms(backend, [(yj,) for yj in y], schedule)
+            return [backend.mul(xi, s) for xi in x]
 
         self._check(backend, schedule, nf, {"X": x, "Y": y}, direct)

@@ -232,11 +232,6 @@ def test_hex_round_trip():
     assert Quire.from_hex("NaR", Q8).nar
 
 
-def test_carry_bits_floor():
-    with pytest.raises(ValueError):
-        QuireConfig(POSIT8, carry_bits=29)
-
-
 def test_width_bound():
     # the widest admitted posit64 and posit32 quires, then the first
     # rejected es of each; a rejected width builds no integer that wide
@@ -245,5 +240,3 @@ def test_width_bound():
     for nbits, es in ((64, 9), (32, 10), (64, 61)):
         with pytest.raises(ValueError, match=f"posit\\({nbits},{es}\\) quire"):
             QuireConfig(PositConfig(nbits, es))
-    with pytest.raises(ValueError):
-        QuireConfig(POSIT8, carry_bits=MAX_WIDTH)
