@@ -62,10 +62,6 @@ class ArrayData:
     fmt: str
     tokens: Tuple[str, ...]
 
-    @property
-    def count(self) -> int:
-        return math.prod(self.dims)
-
 
 def parse_array(text: str) -> ArrayData:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
@@ -240,9 +236,3 @@ class Report:
 
     def render(self) -> str:
         return "".join(f"{k}={v}\n" for k, v in self._lines)
-
-    def get(self, key: str) -> str:
-        for k, v in self._lines:
-            if k == key:
-                return v
-        raise KeyError(key)

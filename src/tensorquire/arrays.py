@@ -10,19 +10,13 @@ touching results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-__all__ = ["DenseArray", "flat_index", "element_count"]
+__all__ = ["DenseArray", "flat_index"]
 
 Dims = Tuple[int, ...]
-
-
-def element_count(dims: Sequence[int]) -> int:
-    n = 1
-    for d in dims:
-        n *= d
-    return n
 
 
 def _check_dims(dims: Sequence[int]) -> Dims:
@@ -60,17 +54,14 @@ class DenseArray:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", _check_dims(self.dims))
         object.__setattr__(self, "data", tuple(self.data))
-        if len(self.data) != element_count(self.dims):
+        if len(self.data) != math.prod(self.dims):
             raise ValueError(
-                f"shape {self.dims} needs {element_count(self.dims)} values, got {len(self.data)}"
+                f"shape {self.dims} needs {math.prod(self.dims)} values, got {len(self.data)}"
             )
 
     @property
     def rank(self) -> int:
         return len(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.data)
 
     def at(self, *idx: int):
         return self.data[flat_index(idx, self.dims)]

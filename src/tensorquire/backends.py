@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional
 
-from .posit import PositConfig, arith, decode, encode_round, format_bits, to_float
+from .posit import DecodedReal, PositConfig, arith, decode, encode_round, format_bits, to_float
 from .quire import QuireConfig, add_units, drain, prepare, term_units
 
 __all__ = [
@@ -57,6 +57,9 @@ __all__ = [
 # the empty accumulator of the default fold; not None, which is the
 # rational backend's NaR
 _EMPTY = object()
+
+# 1 decoded, the same in every posit format
+_DECODED_ONE = DecodedReal(1, 0)
 
 
 class Backend:
@@ -88,9 +91,6 @@ class Backend:
         raise NotImplementedError
 
     def div(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
         raise NotImplementedError
 
     # -- accumulation protocol for scheduled reductions
@@ -186,12 +186,6 @@ class PositNaiveBackend(Backend):
         self.roundings += 1
         return arith("div", a, b, self.cfg)
 
-    def neg(self, a):
-        # two's complement negation is exact, nothing rounds
-        if a == self.cfg.nar_pattern:
-            return a
-        return (-a) & self.cfg.mask
-
     def from_fraction(self, x: Fraction):
         return encode_round(x, self.cfg)
 
@@ -215,7 +209,7 @@ class PositNaiveBackend(Backend):
     def format_value(self, v) -> str:
         if v == self.cfg.nar_pattern:
             return "NaR"
-        return repr(to_float(v, self.cfg, exact=False))
+        return repr(to_float(v, self.cfg))
 
 
 class QuireBackend(PositNaiveBackend):
@@ -249,8 +243,8 @@ class QuireBackend(PositNaiveBackend):
             a, b = factors
         else:
             # any other arity: the rounded product of all but the last factor, then the last
-            a = reduce(self.mul, factors[:-1]) if len(factors) > 1 else self.one()
-            b = factors[-1] if factors else self.one()
+            a = reduce(self.mul, factors[:-1]) if len(factors) > 1 else _DECODED_ONE
+            b = factors[-1] if factors else _DECODED_ONE
         if a.__class__ is int:
             a = decode(a, self.cfg)
         if b.__class__ is int:
@@ -305,9 +299,6 @@ class _IEEEBackend(Backend):
         else:
             q = math.copysign(math.inf, a) * math.copysign(1.0, b)
         return self._round(q)
-
-    def neg(self, a):
-        return -a
 
     def from_fraction(self, x: Fraction):
         try:
@@ -382,9 +373,6 @@ class RationalBackend(Backend):
         if a is None or b is None or b == 0:
             return None
         return a / b
-
-    def neg(self, a):
-        return None if a is None else -a
 
     def from_fraction(self, x: Fraction):
         return Fraction(x)

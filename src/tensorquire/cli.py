@@ -30,6 +30,10 @@ from .schedule import SEQUENTIAL, format_schedule, parse_schedule, schedule_from
 
 __all__ = ["main"]
 
+# posit decode prints a value's fraction in full, in time quadratic in its
+# length: 2**(2**20) takes 1.5 s on a 2-CPU x86-64 host, 2**(2**22) 25 s
+MAX_PRINTED_SCALE = 1 << 20
+
 
 class UsageError(Exception):
     pass
@@ -105,6 +109,8 @@ def cmd_posit(args) -> Report:
             raise UsageError("posit decode needs --bits")
         bits = parse_bits(args.bits, cfg)
         d = decode(bits, cfg)
+        if d is not None and abs(d.scale) > MAX_PRINTED_SCALE:
+            raise UsageError(f"{args.bits} has scale {d.scale}, beyond ±{MAX_PRINTED_SCALE}")
         rep.add("bits", format_bits(bits, cfg))
         rep.add("kind", NAR if d is None else d.kind)
         if d is None:

@@ -269,12 +269,10 @@ class Leaf:
 class Multiply:
     a: object
     b: object
-    pattern: str = "elementwise"
 
 
 @dataclass(frozen=True)
 class SumReduce:
-    axes: Tuple[int, ...]
     child: object
 
 
@@ -390,20 +388,16 @@ def normalize(e) -> NormalForm:
     if isinstance(e, SumReduce):
         # Two supported spellings: full reduction of a vector, and full
         # reduction of an elementwise product (the dot product).
-        if e.axes != (0,):
-            raise NormalizeError("sum-reduce supports axis 0 only")
         child = e.child
         if isinstance(child, Leaf) and len(child.dims) == 1:
             n = child.dims[0]
             body = Sum((("j", n),), Ref(child.name, v("j")))
             return NormalForm("C", 1, Affine.const(0), (), body, ((child.name, n),))
-        if isinstance(child, Multiply) and child.pattern == "elementwise":
+        if isinstance(child, Multiply):
             return _dot_form(*_vector_pair(child.a, child.b, "multiply"))
         raise NormalizeError(f"unsupported sum-reduce child {type(child).__name__}")
 
     if isinstance(e, Multiply):
-        if e.pattern != "elementwise":
-            raise NormalizeError(f"unsupported multiply pattern {e.pattern!r}")
         xa, xb, n = _vector_pair(e.a, e.b, "multiply")
         body = Mul((Ref(xa, v("i")), Ref(xb, v("i"))))
         return NormalForm("C", n, v("i"), (("i", n),), body, ((xa, n), (xb, n)))

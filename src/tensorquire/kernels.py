@@ -38,7 +38,6 @@ __all__ = [
     "cg_step",
     "CGOutcome",
     "cg_solve",
-    "rounding_census",
 ]
 
 
@@ -366,10 +365,3 @@ def cg_solve(
         rr = rr_new
         done = t + 1
     return CGOutcome(DenseArray((n,), x), done, backend.is_zero(rr))
-
-
-def rounding_census(backend: Backend, run) -> dict:
-    """Count the roundings a kernel run performs on this backend."""
-    backend.reset_counter()
-    run()
-    return {"roundings": backend.roundings}

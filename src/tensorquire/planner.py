@@ -86,24 +86,29 @@ class CostModel:
 
 def parse_cost_model(text: str) -> CostModel:
     """Parse the text format: one `level capacity=.. line=.. miss=..`
-    line per hierarchy level plus one `element=..` line."""
+    line per hierarchy level plus one `element=..` line.  The keys are
+    whole words, and each field is given once."""
     levels: List[CostLevel] = []
     element = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("element"):
-            _, _, val = line.partition("=")
+        key, _, val = line.partition("=")
+        if key.strip() == "element":
+            if element is not None:
+                raise ValueError(f"repeated element line: {raw!r}")
             element = int(val.strip())
             continue
-        if not line.startswith("level"):
+        if line.split()[0] != "level":
             raise ValueError(f"unrecognized cost-model line: {raw!r}")
         fields = {}
         for field in line.split()[1:]:
             key, eq, val = field.partition("=")
             if not eq:
                 raise ValueError(f"cost-model field {field!r} has no '='")
+            if key in fields:
+                raise ValueError(f"repeated cost-model field {key!r} in {raw!r}")
             fields[key] = val
         try:
             levels.append(

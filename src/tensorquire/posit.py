@@ -43,21 +43,15 @@ __all__ = [
     "arith",
     "compare",
     "to_float",
-    "from_float",
     "to_signed",
     "format_bits",
     "parse_bits",
     "scaled_fraction",
-    "InexactConversion",
 ]
 
 ZERO = "zero"
 NAR = "nar"
 FINITE = "finite"
-
-
-class InexactConversion(ValueError):
-    """A posit value does not fit the requested binary format exactly."""
 
 
 @dataclass(frozen=True)
@@ -292,32 +286,17 @@ def compare(a: int, b: int, cfg: PositConfig) -> str:
     return "eq"
 
 
-def to_float(bits: int, cfg: PositConfig, exact: bool = True) -> float:
-    """Convert to binary64.
-
-    With ``exact=True`` (the default) an InexactConversion is raised if
-    the value does not fit binary64 without rounding; pass
-    ``exact=False`` to accept the nearest double instead.
-    """
+def to_float(bits: int, cfg: PositConfig) -> float:
+    """The binary64 value nearest to the pattern's, NaN for NaR."""
     d = decode(bits, cfg)
     if d is None:
         return float("nan")
-    if d.significand.bit_length() <= 53:
-        return math.ldexp(d.significand, d.scale)
-    if exact:
-        raise InexactConversion(
-            f"pattern {format_bits(bits, cfg)} needs {d.significand.bit_length()} significand bits"
-        )
-    return float(d.value)
-
-
-def from_float(x: float, cfg: PositConfig) -> int:
-    """Round a binary64 value to a posit (NaN and infinities give NaR)."""
-    if math.isnan(x) or math.isinf(x):
-        return cfg.nar_pattern
-    if x == 0.0:
-        return 0
-    return encode_round(Fraction(x), cfg)
+    try:
+        if d.significand.bit_length() <= 53:
+            return math.ldexp(d.significand, d.scale)
+        return float(d.value)
+    except OverflowError:  # past binary64's range, where the nearest is an infinity
+        return math.copysign(math.inf, d.significand)
 
 
 def format_bits(bits: int, cfg: PositConfig) -> str:

@@ -10,8 +10,8 @@ Because accumulation is exact integer addition, it is associative and
 commutative in the bit-pattern sense: partial quires built by different
 workers over different splits merge to the same accumulator, which is
 what makes parallel reductions bitwise reproducible.  The carry bound
-is judged only where the sum is read (the drain, ``value``, ``to_hex``),
-so saturation to NaR depends on the final exact sum alone, never on the
+is judged only where the sum is read (the drain and ``value``), so
+saturation to NaR depends on the final exact sum alone, never on the
 grouping of partial sums.
 
 Width budget: the value field spans minpos^2 .. maxpos^2, which is
@@ -55,8 +55,8 @@ class QuireConfig:
     posit: PositConfig
 
     def __post_init__(self) -> None:
-        # plain attributes and a hash computed once, as for PositConfig:
-        # every product reads lsb_scale and every drain the carry bounds
+        # plain attributes, as for PositConfig: every product reads
+        # lsb_scale and every drain the carry bounds
         nbits, es = self.posit.nbits, self.posit.es
         total_width = ((nbits - 2) << (es + 2)) + 1 + CARRY_BITS
         if total_width > MAX_WIDTH:
@@ -66,13 +66,8 @@ class QuireConfig:
             ("total_width", total_width),
             ("max_int", (1 << (total_width - 1)) - 1),
             ("min_int", -(1 << (total_width - 1))),
-            ("hex_digits", (total_width + 3) // 4),
-            ("_hash", hash(self.posit)),
         ):
             object.__setattr__(self, name, value)
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def prepare(values: Iterable[int], cfg: PositConfig) -> List[Optional[DecodedReal]]:
@@ -170,27 +165,6 @@ class Quire:
         if self.nar:
             raise ValueError("NaR quire has no rational value")
         return scaled_fraction(self.acc, self.config.lsb_scale)
-
-    def to_hex(self) -> str:
-        """Full accumulator as two's-complement hex ('NaR' when flagged)."""
-        if self.nar:
-            return "NaR"
-        masked = self.acc & ((1 << self.config.total_width) - 1)
-        return f"0x{masked:0{self.config.hex_digits}x}"
-
-    @classmethod
-    def from_hex(cls, text: str, cfg: QuireConfig) -> "Quire":
-        t = text.strip()
-        if t == "NaR":
-            return cls(cfg, None)
-        if not t.lower().startswith("0x"):
-            raise ValueError(f"quire hex must start with 0x: {text!r}")
-        bits = int(t[2:], 16)
-        if bits >> cfg.total_width:
-            raise ValueError(f"quire pattern wider than {cfg.total_width} bits")
-        if bits >> (cfg.total_width - 1):
-            bits -= 1 << cfg.total_width
-        return cls(cfg, bits)
 
 
 def exact_dot(xs: Sequence[int], ys: Sequence[int], cfg: PositConfig) -> int:

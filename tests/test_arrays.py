@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given
 from hypothesis.strategies import integers, lists
 
-from tensorquire.arrays import DenseArray, element_count, flat_index
+from tensorquire.arrays import DenseArray, flat_index
 
 dims_strategy = lists(integers(1, 5), min_size=1, max_size=4)
 
 
 def _arange(dims):
-    return DenseArray(tuple(dims), list(range(element_count(dims))))
+    return DenseArray(tuple(dims), list(range(math.prod(dims))))
 
 
 def test_flat_index_goldens():
@@ -35,7 +36,7 @@ def test_flat_index_rejects_out_of_range():
 @given(dims_strategy)
 def test_flat_index_is_a_bijection(dims):
     seen = [flat_index(idx, dims) for idx in itertools.product(*map(range, dims))]
-    assert seen == list(range(element_count(dims)))
+    assert seen == list(range(math.prod(dims)))
 
 
 def test_dense_array_validation():

@@ -27,6 +27,7 @@ import pytest
 import tensorquire
 from tensorquire.arrayio import exception_value, load_values, parse_array
 from tensorquire.backends import make_backend
+from tensorquire.posit import decode
 
 # name -> (struct code, numpy float type, numpy uint type, bits)
 FORMATS = {
@@ -103,10 +104,6 @@ def test_ops_match_numpy_bit_for_bit(name):
                 continue
             assert got == w, (op, hex(px), hex(py), hex(got), hex(w))
             checked += 1
-    # a float quiets a signalling NaN when it loads, so negate what it holds
-    for px in SPECIAL[name] + [x for x, _ in pairs[-2000:]]:
-        a = _float(px, code, bits)
-        assert _pattern(backend.neg(a), code) == _pattern(-ftype(a), code), hex(px)
     assert checked > 4 * 20_000
 
 
@@ -178,3 +175,5 @@ def test_posit_one_is_the_encoded_one():
             for name in ("quire", "naive") if es <= 3 else ("naive",):
                 backend = make_backend(name, nbits, es)
                 assert backend.one() == backend.from_fraction(Fraction(1)), (nbits, es)
+                # the quire folds a 0- or 1-factor term with 1 decoded, (1, 0)
+                assert decode(backend.one(), backend.cfg) == (1, 0), (nbits, es)

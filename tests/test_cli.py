@@ -7,11 +7,19 @@ error, 3 numerical breakdown.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import math
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from tensorquire.backends import BACKEND_NAMES
 from tensorquire.cli import main
 
 CANCEL_X = "shape 3\nformat decimal\n16777216 1 -16777216\n"
@@ -57,6 +65,31 @@ class TestPositCommand:
         got = lines_of(out)
         assert got["kind"] == "nar"
         assert got["value"] == "NaR"
+
+    @pytest.mark.parametrize(
+        "bits,n,es",
+        [
+            ("0x7fffffffffffffff", "64", "61"),  # 2**(62 * 2**61) cannot be built
+            ("0x0000000000000001", "64", "61"),
+            ("0x000000000013d1f", "59", "18"),  # 2**-10685316: minutes of printing
+        ],
+    )
+    def test_decode_past_the_printed_scale_is_usage_error(self, capsys, bits, n, es):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "posit", "decode", "--bits", bits, "--n", n, "--es", es)
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: ") and "scale" in err
+
+    def test_decode_inside_the_printed_scale_prints_in_full(self, capsys):
+        # maxpos of posit(64, 12) is 2**253952, a fraction of 76,448 digits
+        code, out, _ = run_cli(
+            capsys, "posit", "decode", "--bits", "0x7fffffffffffffff", "--n", "64", "--es", "12"
+        )
+        assert code == 0
+        got = lines_of(out)
+        assert got["value"] == "inf"
+        assert got["fraction"].endswith("/1") and len(got["fraction"]) == 76_448 + 2
 
     # every decoded kind, both signs and both ends of the range, at the
     # interchange format and at the narrowest and widest es in use
@@ -156,6 +189,16 @@ class TestPositCommand:
 
 
 class TestKernelCommand:
+    def test_naive_result_past_binary64_prints_inf(self, capsys, files):
+        # posit64 at es = 8 reaches 2**15872; the nearest double is inf
+        a = files("x.arr", "shape 2\nformat decimal\n1e300 1e300\n")
+        code, out, err = run_cli(
+            capsys,
+            "kernel", "dot", "--a", a, "--b", a, "--backend", "naive", "--n", "64", "--es", "8",
+        )
+        assert (code, err) == (0, "")
+        assert lines_of(out)["result"] == "0x7fb28759cb8a14bf inf"
+
     def test_cancellation_quire_vs_binary32(self, capsys, files):
         a = files("x.arr", CANCEL_X)
         b = files("y.arr", ONES_3)
@@ -535,6 +578,25 @@ class TestPlanCommand:
         assert code == 2
         assert "cost model" in err
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            "elementary=4\nlevel capacity=16 line=8 miss=1\n",
+            "element=4\nlevels capacity=16 line=8 miss=1\n",
+            "element=4\nlevel capacity=16 line=8 miss=1 line=4\n",
+            "element=4\nelement=8\nlevel capacity=16 line=8 miss=1\n",
+        ],
+        ids=["elementary", "levels", "repeated-field", "repeated-element"],
+    )
+    def test_misspelled_or_repeated_model_is_data_error(self, capsys, files, model):
+        cm = files("cm.txt", model)
+        code, out, err = run_cli(
+            capsys, "plan", "--kernel", "dot", "--n", "4", "--cost-model", cm
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad cost model: ")
+
     def test_missing_model_file(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys,
@@ -590,3 +652,188 @@ class TestUsage:
     def test_reports_end_with_newline(self, capsys):
         _, out, _ = run_cli(capsys, "census", "reuse")
         assert out.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: no command line ends in a traceback
+#
+# Each generated input is mostly well formed, so that the kernels, the
+# planner and the renderers run on it, and now and then odd: a token,
+# line, field or flag value that has broken or stretched a parser.
+
+_ODD_TOKENS = (
+    "NaR", "nan", "inf", "-inf", "1/0", "0/0", "1_000", "1e999999999", "-1e-999999999",
+    "9" * 5000, "0x", "0xZZZZZZZZ", "0x40000000", "0x4000", "0x3ff0000000000000", "-", "=",
+    "\u00e9", "",
+)
+_ODD_TOKEN = st.one_of(
+    st.sampled_from(_ODD_TOKENS), st.text(alphabet="0123456789abcdefxXeE+-./_", max_size=12)
+)
+# any text a file could hold; lone surrogates cannot be written as UTF-8
+_JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+_DECIMAL = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.fractions(max_denominator=10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(("NaR", "nan", "1e9999", "-1e-9999", "1e400", "-1e-400", "1e999999999")),
+)
+_HEX_WIDTH = {"posit32": 8, "posit16": 4, "binary32": 8, "binary64": 16}
+
+
+def _hex(width: int):
+    return st.integers(0, (1 << 4 * width) - 1).map(f"0x{{:0{width}x}}".format)
+
+
+def _maybe_odd(draw, good, odd):
+    """Mostly ``good``; one draw in eight is ``odd``."""
+    return draw(odd if draw(st.integers(0, 7)) == 0 else good)
+
+
+@st.composite
+def _array_text(draw, dims, symmetric=False) -> str:
+    """An array file of shape ``dims``; one in four has an odd part."""
+    odd = draw(st.sampled_from(("", "", "", "", "", "token", "shape", "format", "text")))
+    fmt = draw(st.sampled_from((*_HEX_WIDTH, "decimal")))
+    good = _hex(_HEX_WIDTH[fmt]) if fmt in _HEX_WIDTH else _DECIMAL
+    token = st.one_of(good, good, good, _ODD_TOKEN) if odd == "token" else good
+    count = math.prod(dims)
+    tokens = draw(st.lists(token, min_size=count, max_size=count))
+    if symmetric:  # so that CG gets past its check of A
+        n = dims[0]
+        tokens = [tokens[max(i, j) * n + min(i, j)] for i in range(n) for j in range(n)]
+    shape = " ".join(map(str, dims))
+    if odd == "shape":
+        shape = draw(st.sampled_from(("0", "9" * 14, "2 x", f"{shape} 1", "")))
+    if odd == "format":
+        fmt = draw(st.sampled_from(("posit8", "float", "")))
+    if odd == "text":
+        return draw(_JUNK_TEXT)
+    return f"shape {shape}\nformat {fmt}\n{' '.join(tokens)}\n"
+
+
+_COST_LEVEL = st.tuples(st.integers(0, 6), st.integers(1, 64), st.integers(0, 100)).map(
+    lambda t: (t[1] << t[0], 1 << t[0], t[2])
+)
+_ODD_CM_LINE = st.one_of(
+    st.sampled_from((
+        "elementary=4", "levels capacity=16 line=8 miss=1",
+        "level capacity=16 line=8 miss=1 line=4",
+        "element=4", "level capacity=16 line=8", "level", "level =", "=", "# a comment",
+        "level capacity=1000000000000000000000000000000 line=1 miss=1", "element=" + "9" * 5000,
+    )),
+    _JUNK_TEXT,
+)
+
+
+@st.composite
+def _cost_model(draw) -> str:
+    levels = sorted(draw(st.lists(_COST_LEVEL, min_size=1, max_size=3, unique_by=lambda lv: lv[0])))
+    lines = [f"element={draw(st.integers(1, 16))}"]
+    lines += [f"level capacity={c} line={ln} miss={m}" for c, ln, m in levels]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_CM_LINE))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _schedule(draw, n: int) -> str:
+    perm = draw(st.permutations(range(n))) if draw(st.booleans()) else None
+    spec = ";".join((
+        "perm=" + ("identity" if perm is None else ",".join(map(str, perm))),
+        "levels=" + (",".join(map(str, draw(st.lists(st.integers(1, 9), max_size=2)))) or "flat"),
+        f"workers={draw(st.integers(1, 9))}",
+    ))
+    odd = st.sampled_from((
+        "perm=0,0", "perm=9", "levels=0", "workers=0", "workers=" + "9" * 30, "bogus=1", ";;", "",
+    ))
+    return _maybe_odd(draw, st.one_of(st.integers(-(2**70), 2**70).map(str), st.just(spec)), odd)
+
+
+@st.composite
+def _posit_flags(draw) -> tuple:
+    """(--n/--es flags, the width they name): mostly a posit format."""
+    nbits = _maybe_odd(draw, st.sampled_from((8, 16, 32, 64)), st.integers(-1, 70))
+    es = _maybe_odd(draw, st.integers(0, 3), st.integers(-1, 64))
+    flags = ["--n", str(nbits), "--es", str(es)] if draw(st.booleans()) else []
+    return flags, nbits if flags else 32
+
+
+@st.composite
+def _invocation(draw):
+    """An argv for main(), and the text of each file it names by a
+    placeholder ("@0", "@1", ...)."""
+    files = []
+
+    def file(text: str) -> str:
+        files.append(text)
+        return f"@{len(files) - 1}"
+
+    cmd = draw(st.sampled_from(("posit", "kernel", "census", "plan")))
+    if cmd == "posit":
+        flags, nbits = draw(_posit_flags())
+        if draw(st.booleans()):
+            good = _hex((nbits + 3) // 4) if 3 <= nbits <= 64 else _hex(8)
+            argv = ["posit", "decode", "--bits", _maybe_odd(draw, good, _ODD_TOKEN)]
+        else:
+            argv = ["posit", "encode", "--value", _maybe_odd(draw, _DECIMAL, _ODD_TOKEN)]
+        argv += flags
+    elif cmd == "kernel":
+        kind = draw(st.sampled_from(("dot", "matmul", "outer", "cg")))
+        argv = ["kernel", kind, "--backend", draw(st.sampled_from(BACKEND_NAMES))]
+        n = draw(st.integers(1, 8))
+        if kind == "cg":
+            symmetric = draw(st.integers(0, 3)) > 0
+            argv += ["--matrix", file(draw(_array_text((n, n), symmetric)))]
+            argv += ["--rhs", file(draw(_array_text((n,))))]
+            argv += ["--iters", str(_maybe_odd(draw, st.integers(1, 8), st.integers(-1, 0)))]
+            argv += ["--variant", draw(st.sampled_from(("standard", "paper")))]
+            argv += ["--form", draw(st.sampled_from(("direct", "normal")))]
+        else:
+            dims = (n, n) if kind == "matmul" else (n,)
+            m = _maybe_odd(draw, st.just(n), st.integers(1, 8))  # a length that may not match
+            other = (m, m) if kind == "matmul" else (m,)
+            argv += ["--a", file(draw(_array_text(dims))), "--b", file(draw(_array_text(other)))]
+        if draw(st.booleans()):
+            argv += ["--schedule", draw(_schedule(n))]
+        argv += draw(_posit_flags())[0]
+    elif cmd == "census":
+        if draw(st.booleans()):
+            # binary32 reads no text, and its census fills 64 MB arrays
+            fmt = _maybe_odd(draw, st.just("binary16"), st.just("binary64"))
+            argv = ["census", "nan", "--format", fmt]
+        else:
+            kernel = _maybe_odd(draw, st.sampled_from(("dot", "matmul", "outer")), st.just("cg"))
+            size = _maybe_odd(draw, st.integers(1, 64), st.integers(-2, 0))
+            argv = ["census", "reuse", "--kernel", kernel, "--size", str(size)]
+    else:
+        kernel = draw(st.sampled_from(("dot", "matmul", "outer", "cg")))
+        n = _maybe_odd(draw, st.integers(1, 64), st.integers(-1, 0))
+        argv = ["plan", "--kernel", kernel, "--n", str(n)]
+        argv += ["--cost-model", file(draw(_cost_model()))]
+        argv += ["--table"] if draw(st.booleans()) else []
+    if draw(st.integers(0, 15)) == 0:  # now and then a word goes missing
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv, files
+
+
+class TestNoTraceback:
+    @settings(
+        max_examples=200,
+        deadline=None,  # the host drifts, so the time bound is checked in the test
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_invocation())
+    def test_main_returns_an_exit_code(self, invocation):
+        argv, files = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {}
+            for i, text in enumerate(files):
+                paths[f"@{i}"] = path = Path(tmp) / f"{i}.txt"
+                path.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(paths.get(a, a)) for a in argv])
+            elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert elapsed < 5, (argv, elapsed)

@@ -62,8 +62,13 @@ class TestGoldenTexts:
         assert nf.operands == (("A", 4), ("P", 2), ("R", 2), ("X", 4))
 
     def test_vector_sum_via_reduce_node(self):
-        nf = normalize(SumReduce((0,), Leaf("X", (8,))))
+        nf = normalize(SumReduce(Leaf("X", (8,))))
         assert str(nf) == "C[0] = sum(j<8) X[j]"
+
+    def test_elementwise_product_and_its_reduction(self):
+        x, y = Leaf("X", (4,)), Leaf("Y", (4,))
+        assert str(normalize(Multiply(x, y))) == "C[i] = X[i]*Y[i]"
+        assert normalize(SumReduce(Multiply(x, y))) == normalize(Dot(x, y))
 
     def test_deterministic(self):
         a = normalize(kernel_expr("matmul", 3))
@@ -86,7 +91,7 @@ class TestNormalizeErrors:
 
     def test_unknown_leaf_rank(self):
         with pytest.raises(NormalizeError):
-            normalize(SumReduce((1,), Leaf("X", (4,))))
+            normalize(SumReduce(Leaf("X", (4, 4))))
 
 
 class TestReuseCensus:

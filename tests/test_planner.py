@@ -46,7 +46,7 @@ def _cm(levels, element=4):
 
 
 def _vector_sum(n):
-    return normalize(SumReduce((0,), Leaf("X", (n,))))
+    return normalize(SumReduce(Leaf("X", (n,))))
 
 
 def _shadowed():
@@ -95,6 +95,12 @@ class TestCostModelTypes:
             "element=4\nlevel capacity=16 line=8\n",
             "element=x\nlevel capacity=16 line=8 miss=1\n",
             "element=4\nlevel foo\n",
+            # keys are whole words
+            "elementary=4\nlevel capacity=16 line=8 miss=1\n",
+            "element=4\nlevels capacity=16 line=8 miss=1\n",
+            # each field is given once
+            "element=4\nlevel capacity=16 line=8 miss=1 line=4\n",
+            "element=4\nelement=8\nlevel capacity=16 line=8 miss=1\n",
         ],
     )
     def test_parse_rejects(self, bad):
@@ -102,6 +108,10 @@ class TestCostModelTypes:
             parse_cost_model(bad)
         if "foo" in bad:  # a field without '=' is named
             assert "'foo'" in str(err.value)
+        if "line=4" in bad:  # so is a repeated one
+            assert "'line'" in str(err.value)
+        if "element=8" in bad:
+            assert "element=8" in str(err.value)
 
 
 class TestPredictCost:

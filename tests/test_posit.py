@@ -7,6 +7,7 @@ Exhaustive sweeps at the larger widths live in test_acceptance.py.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 import tracemalloc
@@ -23,14 +24,12 @@ from tensorquire.posit import (
     POSIT16,
     POSIT32,
     ZERO,
-    InexactConversion,
     PositConfig,
     arith,
     compare,
     decode,
     encode_round,
     format_bits,
-    from_float,
     parse_bits,
     to_float,
     to_signed,
@@ -305,23 +304,28 @@ class TestCompare:
 
 class TestConvert:
     def test_posit16_binary64_round_trip_exhaustive(self):
+        # every posit16 value is a binary64, so the conversion is exact
         cfg = POSIT16
         for p in range(1 << 16):
             x = to_float(p, cfg)
-            assert from_float(x, cfg) == p
+            d = decode(p, cfg)
+            if d is None:
+                assert math.isnan(x)
+            else:
+                assert Fraction(x) == d.value, hex(p)
 
-    def test_nan_and_inf_to_nar(self):
-        assert from_float(float("nan"), POSIT32) == POSIT32.nar_pattern
-        assert from_float(float("inf"), POSIT32) == POSIT32.nar_pattern
-        assert from_float(float("-inf"), POSIT32) == POSIT32.nar_pattern
-
-    def test_inexact_conversion_raises(self):
+    def test_inexact_conversion_rounds_to_nearest(self):
         cfg = PositConfig(64, 2)
-        # a 60-bit significand cannot be a binary64 exactly
+        # a 60-bit significand cannot be a binary64 exactly: 2 - 2**-59 rounds to 2
         bits = (0b01000 << 59) | ((1 << 59) - 1)
-        with pytest.raises(InexactConversion):
-            to_float(bits, cfg)
-        assert to_float(bits, cfg, exact=False) == pytest.approx(2.0)
+        assert to_float(bits, cfg) == float(decode(bits, cfg).value) == 2.0
+
+    def test_beyond_binary64_range_converts_to_infinity(self):
+        # posit64 at es = 8 reaches 2**15872, where the nearest double is inf
+        cfg = PositConfig(64, 8)
+        assert to_float(cfg.maxpos_pattern, cfg) == math.inf
+        assert to_float((-cfg.maxpos_pattern) & cfg.mask, cfg) == -math.inf
+        assert to_float(cfg.minpos_pattern, cfg) == 0.0
 
 
 class TestBitsText:
